@@ -11,11 +11,19 @@
 
 namespace sdpcm {
 
-/** Number of set bits in a 64-bit word. */
+/**
+ * Number of set bits in a 64-bit word. A SWAR reduction rather than
+ * std::popcount: without a -mpopcnt target the latter compiles to a
+ * libgcc call (__popcountdi2), which the device's pulse loop would pay
+ * once per programmed word.
+ */
 inline int
 popcount64(std::uint64_t x)
 {
-    return std::popcount(x);
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    return static_cast<int>((x * 0x0101010101010101ULL) >> 56);
 }
 
 /** True if x is a power of two (and nonzero). */

@@ -94,10 +94,9 @@ LineData
 MemoryController::coherentValue(unsigned bank, const LineAddr& la)
 {
     const Bank& b = banks_[bank];
-    for (auto it = b.writeQueue.rbegin(); it != b.writeQueue.rend();
-         ++it) {
-        if (it->la == la)
-            return it->payload;
+    for (std::size_t idx = b.writeQueue.size(); idx-- > 0;) {
+        if (b.writeQueue[idx].la == la)
+            return b.writeQueue[idx].payload;
     }
     if (b.active && b.active->w.la == la)
         return b.active->w.payload;
@@ -118,33 +117,45 @@ MemoryController::mutatePayload(const LineData& base, double density)
 }
 
 void
+MemoryController::forwardRead(const LineAddr& la, const LineData& data,
+                              ReadCallback on_complete)
+{
+    stats_.readsForwarded += 1;
+    if (oracle_)
+        oracle_->noteForwardedRead(la, data);
+    // Every forwarded read is delivered by a zero-delay event; those
+    // events fire in submission order, so the oldest parked read is
+    // always the one a delivery event belongs to.
+    forwarded_.push_back(ForwardedRead{std::move(on_complete), data});
+    events_.scheduleAfter(0, [this] { deliverForwarded(); });
+}
+
+void
+MemoryController::deliverForwarded()
+{
+    // Take it out first: the callback may forward further reads.
+    ForwardedRead fr = std::move(forwarded_.front());
+    forwarded_.pop_front();
+    fr.onComplete(fr.data);
+}
+
+void
 MemoryController::submitRead(PhysAddr addr, unsigned core_id,
-                             std::function<void(const LineData&)>
-                                 on_complete)
+                             ReadCallback on_complete)
 {
     const LineAddr la = device_.addressMap().decode(addr);
     Bank& b = banks_[la.bank];
 
     // Forward from pending writes (the queue holds the newest data).
-    for (auto it = b.writeQueue.rbegin(); it != b.writeQueue.rend();
-         ++it) {
-        if (it->la == la) {
-            stats_.readsForwarded += 1;
-            const LineData data = it->payload;
-            if (oracle_)
-                oracle_->noteForwardedRead(la, data);
-            events_.scheduleAfter(0, [cb = std::move(on_complete),
-                                      data] { cb(data); });
+    for (std::size_t idx = b.writeQueue.size(); idx-- > 0;) {
+        if (b.writeQueue[idx].la == la) {
+            forwardRead(la, b.writeQueue[idx].payload,
+                        std::move(on_complete));
             return;
         }
     }
     if (b.active && b.active->w.la == la) {
-        stats_.readsForwarded += 1;
-        const LineData data = b.active->w.payload;
-        if (oracle_)
-            oracle_->noteForwardedRead(la, data);
-        events_.scheduleAfter(0, [cb = std::move(on_complete),
-                                  data] { cb(data); });
+        forwardRead(la, b.active->w.payload, std::move(on_complete));
         return;
     }
 
@@ -299,7 +310,7 @@ MemoryController::drainCumNow(const Bank& b) const
 }
 
 void
-MemoryController::onWriteSpace(PhysAddr addr, std::function<void()> cb)
+MemoryController::onWriteSpace(PhysAddr addr, EventQueue::Callback cb)
 {
     const LineAddr la = device_.addressMap().decode(addr);
     banks_[la.bank].spaceWaiters.push_back(std::move(cb));
@@ -308,12 +319,13 @@ MemoryController::onWriteSpace(PhysAddr addr, std::function<void()> cb)
 void
 MemoryController::notifySpace(unsigned bank)
 {
-    auto waiters = std::move(banks_[bank].spaceWaiters);
-    banks_[bank].spaceWaiters.clear();
     // Defer through the event queue: waiters re-enter submitWrite/kick,
     // which must not run in the middle of a service-state transition.
+    // Scheduling re-enters nothing, so the list is drained in place.
+    std::vector<EventQueue::Callback>& waiters = banks_[bank].spaceWaiters;
     for (auto& cb : waiters)
         events_.scheduleAfter(0, std::move(cb));
+    waiters.clear();
 }
 
 bool
@@ -364,7 +376,7 @@ MemoryController::pendingCorrections() const
     std::uint64_t n = 0;
     for (const auto& b : banks_) {
         if (b.active)
-            n += b.active->tasks.size() + (b.active->corr ? 1 : 0);
+            n += (b.taskTail - b.taskHead) + (b.active->corr ? 1 : 0);
     }
     return n;
 }
@@ -445,7 +457,7 @@ MemoryController::refundCycles(OpKind kind, Tick latency)
 
 void
 MemoryController::occupy(unsigned bank, Tick latency, OpKind kind,
-                         std::function<void()> done, bool cancellable,
+                         EventQueue::Callback done, bool cancellable,
                          SpanRecorder::Handle span, SpanPhase span_phase,
                          bool span_release)
 {
@@ -468,27 +480,38 @@ MemoryController::occupy(unsigned bank, Tick latency, OpKind kind,
     if (trace_)
         trace_->begin(bank, opName(kind), "bank", b.opStart);
 
+    // The completion body and span live in the bank (one op in flight
+    // per bank), so the event itself carries only (bank, generation).
+    b.opDone = std::move(done);
+    b.opSpan = spanned && span_release ? span : SpanRecorder::kNull;
     const std::uint64_t gen = b.opGen;
-    events_.scheduleAfter(latency, [this, bank, gen, spanned, span,
-                                    span_release,
-                                    done = std::move(done)] {
-        Bank& bb = banks_[bank];
-        if (bb.opGen != gen)
-            return; // operation was cancelled
-        bb.busy = false;
-        bb.opCancellable = false;
-        if (trace_)
-            trace_->end(bank, events_.now());
-        if (bb.opSpanTraced) {
-            trace_->end(bank, events_.now());
-            bb.opSpanTraced = false;
-        }
-        done();
-        if (spanned && span_release)
-            spans_->transition(span, SpanPhase::QueueWait,
-                               events_.now());
-        kick(bank);
-    });
+    events_.scheduleAfter(latency,
+                          [this, bank, gen] { completeOp(bank, gen); });
+}
+
+void
+MemoryController::completeOp(unsigned bank, std::uint64_t gen)
+{
+    Bank& b = banks_[bank];
+    if (b.opGen != gen)
+        return; // operation was cancelled
+    b.busy = false;
+    b.opCancellable = false;
+    if (trace_)
+        trace_->end(bank, events_.now());
+    if (b.opSpanTraced) {
+        trace_->end(bank, events_.now());
+        b.opSpanTraced = false;
+    }
+    // Take the body and span out first: the body may re-enter the
+    // controller (a read callback submitting more work) and occupy
+    // this bank again.
+    const SpanRecorder::Handle span = b.opSpan;
+    EventQueue::Callback done = std::move(b.opDone);
+    done();
+    if (span != SpanRecorder::kNull)
+        spans_->transition(span, SpanPhase::QueueWait, events_.now());
+    kick(bank);
 }
 
 void
@@ -565,8 +588,9 @@ void
 MemoryController::serviceRead(unsigned bank)
 {
     Bank& b = banks_[bank];
-    PendingRead req = std::move(b.readQueue.front());
+    b.serving = std::move(b.readQueue.front());
     b.readQueue.pop_front();
+    const PendingRead& req = b.serving;
     const SpanRecorder::Handle span = req.span;
     if (spans_ && span != SpanRecorder::kNull) {
         // Carve the drain-burst overlap out of the read's queue wait:
@@ -577,7 +601,7 @@ MemoryController::serviceRead(unsigned bank)
                                 SpanPhase::QueueWait, events_.now());
     }
     occupy(bank, device_.config().timing.readCycles, OpKind::Read,
-           [this, bank, req = std::move(req)] {
+           [this, bank] {
                // Re-validate forwarding at service time: a write to this
                // line may have been accepted — or gone into service and
                // be partially programmed — since the read queued (e.g. a
@@ -586,11 +610,11 @@ MemoryController::serviceRead(unsigned bank)
                // the line's architecturally current value.
                PROF_SCOPE(prof_, ReadService);
                Bank& bb = banks_[bank];
+               PendingRead& req = bb.serving;
                const LineData* fwd = nullptr;
-               for (auto it = bb.writeQueue.rbegin();
-                    it != bb.writeQueue.rend(); ++it) {
-                   if (it->la == req.la) {
-                       fwd = &it->payload;
+               for (std::size_t idx = bb.writeQueue.size(); idx-- > 0;) {
+                   if (bb.writeQueue[idx].la == req.la) {
+                       fwd = &bb.writeQueue[idx].payload;
                        break;
                    }
                }
@@ -612,7 +636,9 @@ MemoryController::serviceRead(unsigned bank)
                }
                if (spans_ && req.span != SpanRecorder::kNull)
                    spans_->close(req.span, events_.now());
-               req.onComplete(data);
+               // Last: the callback may re-enter and park a new read.
+               ReadCallback on_complete = std::move(req.onComplete);
+               on_complete(data);
            },
            /*cancellable=*/false, span, SpanPhase::ReadService,
            /*span_release=*/false);
@@ -659,8 +685,9 @@ MemoryController::tryIssuePreRead(unsigned bank)
                 return false;
             }
             // Issue the pre-read against the array.
-            const LineAddr target = adj;
-            const std::uint64_t id = w.id;
+            b.preReadTarget = adj;
+            b.preReadId = w.id;
+            b.preReadUpper = is_upper;
             if (spans_ && w.span != SpanRecorder::kNull) {
                 // The capture burns bank cycles but the write it serves
                 // keeps queue-waiting: hidden, not critical, cycles.
@@ -671,10 +698,12 @@ MemoryController::tryIssuePreRead(unsigned bank)
             }
             occupy(bank, device_.config().timing.readCycles,
                    OpKind::PreRead,
-                   [this, bank, target, id, is_upper] {
+                   [this, bank] {
                        // Pre-read captures feed the write's verify
                        // stage, so their host cost bills there.
                        PROF_SCOPE(prof_, VerifyScan);
+                       Bank& bb = banks_[bank];
+                       const LineAddr target = bb.preReadTarget;
                        const LineData data = device_.readLine(target);
                        stats_.preReadsIssued += 1;
                        if (oracle_) {
@@ -683,9 +712,11 @@ MemoryController::tryIssuePreRead(unsigned bank)
                        }
                        // Re-locate the entry by id; it may have moved (or
                        // gained a same-line twin via cancellation).
-                       for (auto& entry : banks_[bank].writeQueue) {
-                           if (entry.id == id) {
-                               if (is_upper) {
+                       for (std::size_t k = 0; k < bb.writeQueue.size();
+                            ++k) {
+                           QueuedWrite& entry = bb.writeQueue[k];
+                           if (entry.id == bb.preReadId) {
+                               if (bb.preReadUpper) {
                                    entry.upperData = data;
                                    entry.prUpper = true;
                                } else {
@@ -722,6 +753,8 @@ MemoryController::startWriteService(unsigned bank)
     aw.w = std::move(b.writeQueue.front());
     b.writeQueue.pop_front();
     aw.serviceStart = events_.now();
+    b.taskHead = 0;
+    b.taskTail = 0;
     if (spans_ && aw.w.span != SpanRecorder::kNull)
         spans_->beginAttempt(aw.w.span, events_.now());
     b.active.emplace(std::move(aw));
@@ -791,7 +824,9 @@ MemoryController::refreshBuffersAfterWrite(unsigned bank,
                                            const LineAddr& la,
                                            const LineData& data)
 {
-    for (auto& entry : banks_[bank].writeQueue) {
+    RingQueue<QueuedWrite>& queue = banks_[bank].writeQueue;
+    for (std::size_t k = 0; k < queue.size(); ++k) {
+        QueuedWrite& entry = queue[k];
         if (entry.needUpper && entry.prUpper && entry.upperAddr == la) {
             entry.upperData = data;
             stats_.preReadsRefreshed += 1;
@@ -814,7 +849,7 @@ MemoryController::handleVerifyErrors(unsigned bank, const LineAddr& addr,
     SDPCM_ASSERT(b.active, "verify errors without active write");
     ActiveWrite& a = *b.active;
 
-    std::vector<unsigned> cells;
+    const std::vector<unsigned>* cells = &errors;
     if (scheme_.lazyCorrection) {
         if (device_.recordWdInEcp(addr, errors)) {
             // All parked: correction demand consolidated into ECP.
@@ -823,18 +858,19 @@ MemoryController::handleVerifyErrors(unsigned bank, const LineAddr& addr,
             return;
         }
         // Overflow: correct everything parked plus the new errors.
-        cells = device_.ecpWdCells(addr);
-        cells.insert(cells.end(), errors.begin(), errors.end());
-        std::sort(cells.begin(), cells.end());
-        cells.erase(std::unique(cells.begin(), cells.end()),
-                    cells.end());
+        device_.ecpWdCellsInto(addr, cellScratch_);
+        cellScratch_.insert(cellScratch_.end(), errors.begin(),
+                            errors.end());
+        std::sort(cellScratch_.begin(), cellScratch_.end());
+        cellScratch_.erase(
+            std::unique(cellScratch_.begin(), cellScratch_.end()),
+            cellScratch_.end());
+        cells = &cellScratch_;
         if (trace_) {
             trace_->instant(bank, "ecp_overflow", "ctrl", events_.now(),
                             {{"cells", static_cast<double>(
-                                  cells.size())}});
+                                  cellScratch_.size())}});
         }
-    } else {
-        cells = errors;
     }
 
     if (depth > kMaxCascadeDepth) {
@@ -850,7 +886,13 @@ MemoryController::handleVerifyErrors(unsigned bank, const LineAddr& addr,
                         {{"depth", static_cast<double>(depth)}});
     }
     a.maxDepthSeen = std::max(a.maxDepthSeen, depth);
-    a.tasks.push_back(CorrectionTask{addr, std::move(cells), depth});
+    // Append into a recycled slot: its cell vector keeps its capacity.
+    if (b.taskTail == b.tasks.size())
+        b.tasks.emplace_back();
+    CorrectionTask& task = b.tasks[b.taskTail++];
+    task.addr = addr;
+    task.cells.assign(cells->begin(), cells->end());
+    task.depth = depth;
 }
 
 void
@@ -1008,19 +1050,20 @@ MemoryController::advanceWrite(unsigned bank)
                 advanceCorrection(bank);
                 return;
             }
-            if (a.tasks.empty()) {
+            if (b.taskHead == b.taskTail) {
                 completeWrite(bank);
                 kick(bank);
                 return;
             }
             ActiveCorrection c;
-            c.task = std::move(a.tasks.front());
-            a.tasks.pop_front();
+            c.taskIdx = b.taskHead++;
+            c.addr = b.tasks[c.taskIdx].addr;
+            c.depth = b.tasks[c.taskIdx].depth;
 
             const AddressMap& map = device_.addressMap();
             const NmPolicy& pol = policyFor(a.w.tag);
-            const std::uint64_t strip = map.stripOfRow(c.task.addr.row);
-            if (auto up = map.upperNeighbor(c.task.addr)) {
+            const std::uint64_t strip = map.stripOfRow(c.addr.row);
+            if (auto up = map.upperNeighbor(c.addr)) {
                 if (pol.verifyUpper(strip)) {
                     c.needUp = true;
                     c.up = *up;
@@ -1031,7 +1074,7 @@ MemoryController::advanceWrite(unsigned bank)
                     }
                 }
             }
-            if (auto low = map.lowerNeighbor(c.task.addr)) {
+            if (auto low = map.lowerNeighbor(c.addr)) {
                 if (pol.verifyLower(strip)) {
                     c.needLow = true;
                     c.low = *low;
@@ -1094,15 +1137,15 @@ MemoryController::advanceCorrection(unsigned bank)
             if (!c.planned) {
                 PROF_SCOPE(prof_, Correction);
                 c.plan = std::move(b.corrPlanPool);
-                device_.planCorrectionInto(c.plan, c.task.addr,
-                                           c.task.cells);
+                device_.planCorrectionInto(c.plan, c.addr,
+                                           b.tasks[c.taskIdx].cells);
                 c.planned = true;
                 stats_.correctionWrites += 1;
                 // Correction rounds RESET cells too: their neighbourhood
                 // becomes transiently dirty under the same writer.
                 if (oracle_) {
                     PROF_SCOPE(prof_, OracleCheck);
-                    oracle_->noteRoundsStart(a.w.id, c.task.addr);
+                    oracle_->noteRoundsStart(a.w.id, c.addr);
                 }
             }
             const auto peek = device_.peekNextRound(c.plan);
@@ -1115,8 +1158,7 @@ MemoryController::advanceCorrection(unsigned bank)
                            ActiveWrite& aw = *banks_[bank].active;
                            ActiveCorrection& cc = *aw.corr;
                            if (ledger_) {
-                               ledger_->beginOp(aw.w.coreId,
-                                                cc.task.depth);
+                               ledger_->beginOp(aw.w.coreId, cc.depth);
                            }
                            PcmDevice::RoundOutcome outcome;
                            const bool applied =
@@ -1147,7 +1189,7 @@ MemoryController::advanceCorrection(unsigned bank)
                 cc.stage = ActiveCorrection::Stage::VerLow;
                 diffPositionsInto(post, cc.upData, diffScratch_);
                 handleVerifyErrors(bank, cc.up, diffScratch_,
-                                   cc.task.depth + 1);
+                                   cc.depth + 1);
             }, /*cancellable=*/false, a.w.span, SpanPhase::LazyCorrect);
             return;
           }
@@ -1165,7 +1207,7 @@ MemoryController::advanceCorrection(unsigned bank)
                 cc.stage = ActiveCorrection::Stage::Done;
                 diffPositionsInto(post, cc.lowData, diffScratch_);
                 handleVerifyErrors(bank, cc.low, diffScratch_,
-                                   cc.task.depth + 1);
+                                   cc.depth + 1);
             }, /*cancellable=*/false, a.w.span, SpanPhase::LazyCorrect);
             return;
           }

@@ -32,12 +32,12 @@
 #ifndef SDPCM_CONTROLLER_MEMCTRL_HH
 #define SDPCM_CONTROLLER_MEMCTRL_HH
 
-#include <deque>
-#include <functional>
 #include <map>
 #include <optional>
 #include <vector>
 
+#include "common/inline_function.hh"
+#include "common/ring_queue.hh"
 #include "common/stats.hh"
 #include "controller/scheme.hh"
 #include "obs/spans.hh"
@@ -102,6 +102,11 @@ struct CtrlStats
 class MemoryController
 {
   public:
+    /** Read-completion callback; same in-place storage as an event
+     *  callback (a capture over kCallbackBytes does not compile). */
+    using ReadCallback =
+        InlineFunction<void(const LineData&), kCallbackBytes>;
+
     MemoryController(EventQueue& events, PcmDevice& device,
                      const SchemeConfig& scheme, std::uint64_t seed);
 
@@ -165,7 +170,7 @@ class MemoryController
 
     /** Submit a read; the callback fires when data is available. */
     void submitRead(PhysAddr addr, unsigned core_id,
-                    std::function<void(const LineData&)> on_complete);
+                    ReadCallback on_complete);
 
     /** True if the bank's write queue can take another entry. */
     bool canAcceptWrite(PhysAddr addr) const;
@@ -183,7 +188,7 @@ class MemoryController
                          unsigned core_id, const LineData& payload);
 
     /** Register a callback for when the bank's write queue has space. */
-    void onWriteSpace(PhysAddr addr, std::function<void()> cb);
+    void onWriteSpace(PhysAddr addr, EventQueue::Callback cb);
 
     /** True when all queues are empty and no bank is busy. */
     bool quiescent() const;
@@ -234,7 +239,7 @@ class MemoryController
         LineAddr la;
         unsigned coreId = 0;
         Tick enqueueTick = 0;
-        std::function<void(const LineData&)> onComplete;
+        ReadCallback onComplete;
         /** Span lifecycle record (kNull when attribution is off). */
         SpanRecorder::Handle span = SpanRecorder::kNull;
         /** Bank drain-cycle total at enqueue; the delta at service time
@@ -250,10 +255,21 @@ class MemoryController
         unsigned depth = 1;
     };
 
+    /** A read answered from a pending write's payload; delivered by a
+     *  zero-delay event in submission order. */
+    struct ForwardedRead
+    {
+        ReadCallback onComplete;
+        LineData data;
+    };
+
     /** Correction sub-state while a task executes. */
     struct ActiveCorrection
     {
-        CorrectionTask task;
+        /** Position of the task in its bank's recycled task list. */
+        std::size_t taskIdx = 0;
+        LineAddr addr;
+        unsigned depth = 1;
         PcmDevice::WritePlan plan;
         bool planned = false;
         bool needUp = false, needLow = false;
@@ -271,7 +287,6 @@ class MemoryController
         QueuedWrite w;
         PcmDevice::WritePlan plan;
         bool planned = false;
-        std::deque<CorrectionTask> tasks;
         std::optional<ActiveCorrection> corr;
         Tick serviceStart = 0;
         Tick pendingEcpCycles = 0;
@@ -291,10 +306,22 @@ class MemoryController
         bool draining = false;
         unsigned drainRemaining = 0;
         unsigned wcReadGrace = 0; //!< reads admitted by a cancellation
-        std::deque<PendingRead> readQueue;
-        std::deque<QueuedWrite> writeQueue;
+        RingQueue<PendingRead> readQueue;
+        RingQueue<QueuedWrite> writeQueue;
         std::optional<ActiveWrite> active;
-        std::vector<std::function<void()>> spaceWaiters;
+        std::vector<EventQueue::Callback> spaceWaiters;
+        /** The active write's correction work list: tasks [taskHead,
+         *  taskTail) are pending. Slots (and their cell vectors) are
+         *  recycled from one write service to the next. */
+        std::vector<CorrectionTask> tasks;
+        std::size_t taskHead = 0;
+        std::size_t taskTail = 0;
+        /** The read in service (parked here while the bank reads). */
+        PendingRead serving;
+        /** The in-service pre-read capture's target and owner. */
+        LineAddr preReadTarget;
+        std::uint64_t preReadId = 0;
+        bool preReadUpper = false;
         // Retired plan objects recycled into the next service so the
         // per-write rounds/wlHits vectors stop reallocating (hot path).
         PcmDevice::WritePlan planPool;
@@ -305,6 +332,10 @@ class MemoryController
         OpKind opKind = OpKind::Read;
         Tick opStart = 0;
         Tick opLatency = 0;
+        /** The in-flight op's completion body (see occupy()). */
+        EventQueue::Callback opDone;
+        /** Span to return to QueueWait on completion (kNull: none). */
+        SpanRecorder::Handle opSpan = SpanRecorder::kNull;
         /** True while the in-flight op has an open span-phase trace
          *  event that must be closed on completion or cancel. */
         bool opSpanTraced = false;
@@ -327,10 +358,18 @@ class MemoryController
      * caller closes the span itself, e.g. a completing read).
      */
     void occupy(unsigned bank, Tick latency, OpKind kind,
-                std::function<void()> done, bool cancellable = false,
+                EventQueue::Callback done, bool cancellable = false,
                 SpanRecorder::Handle span = SpanRecorder::kNull,
                 SpanPhase span_phase = SpanPhase::QueueWait,
                 bool span_release = true);
+    /** Completion event of the op occupy() started as generation `gen`
+     *  (a no-op if that op was cancelled). */
+    void completeOp(unsigned bank, std::uint64_t gen);
+    /** Deliver the oldest forwarded read. */
+    void deliverForwarded();
+    /** Answer a read from a pending write's payload. */
+    void forwardRead(const LineAddr& la, const LineData& data,
+                     ReadCallback on_complete);
     void chargeCycles(OpKind kind, Tick latency);
     void refundCycles(OpKind kind, Tick latency);
     void maybeCancelForRead(unsigned bank);
@@ -374,6 +413,10 @@ class MemoryController
     /** Verify-diff scratch: most verifies find zero errors, so reusing
      *  one vector makes the verify path allocation-free. */
     std::vector<unsigned> diffScratch_;
+    /** Correction cell-list scratch (ECP overflow merge). */
+    std::vector<unsigned> cellScratch_;
+    /** Forwarded reads awaiting their zero-delay delivery event. */
+    RingQueue<ForwardedRead> forwarded_;
     TraceSink* trace_ = nullptr;
     ShadowOracle* oracle_ = nullptr;
     SpanRecorder* spans_ = nullptr;

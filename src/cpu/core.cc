@@ -42,29 +42,33 @@ TraceCore::issueNext()
     }
     refsIssued_ += 1;
     stats_.instructions += record.gap + 1;
+    pending_ = record;
     // Retire the gap instructions at 1 IPC, then access memory.
-    events_.scheduleAfter(record.gap,
-                          [this, record] { perform(record); });
+    events_.scheduleAfter(record.gap, [this] { perform(); });
 }
 
 void
-TraceCore::perform(const TraceRecord& record)
+TraceCore::perform()
 {
-    const Translation tr = mmu_.translate(record.vaddr);
+    const Translation tr = mmu_.translate(pending_.vaddr);
     if (!tr.tlbHit && tlbMissCycles_ > 0) {
         // Charge the page-table walk, then retry with a warm TLB.
-        events_.scheduleAfter(tlbMissCycles_, [this, record] {
-            const Translation tr2 = mmu_.translate(record.vaddr);
-            performTranslated(record, tr2.paddr);
+        events_.scheduleAfter(tlbMissCycles_, [this] {
+            const Translation tr2 = mmu_.translate(pending_.vaddr);
+            pendingPaddr_ = tr2.paddr;
+            performTranslated();
         });
         return;
     }
-    performTranslated(record, tr.paddr);
+    pendingPaddr_ = tr.paddr;
+    performTranslated();
 }
 
 void
-TraceCore::performTranslated(const TraceRecord& record, PhysAddr paddr)
+TraceCore::performTranslated()
 {
+    const TraceRecord& record = pending_;
+    const PhysAddr paddr = pendingPaddr_;
     if (!record.isWrite) {
         stats_.readsIssued += 1;
         ctrl_.submitRead(paddr, id_,
@@ -79,9 +83,7 @@ TraceCore::performTranslated(const TraceRecord& record, PhysAddr paddr)
     }
     // Write queue full: stall until space frees, then retry.
     stats_.writeStalls += 1;
-    ctrl_.onWriteSpace(paddr, [this, record, paddr] {
-        performTranslated(record, paddr);
-    });
+    ctrl_.onWriteSpace(paddr, [this] { performTranslated(); });
 }
 
 } // namespace sdpcm

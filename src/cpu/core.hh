@@ -60,8 +60,8 @@ class TraceCore
 
   private:
     void issueNext();
-    void perform(const TraceRecord& record);
-    void performTranslated(const TraceRecord& record, PhysAddr paddr);
+    void perform();
+    void performTranslated();
     void finish();
 
     unsigned id_;
@@ -74,6 +74,10 @@ class TraceCore
     std::uint64_t refsIssued_ = 0;
     bool done_ = false;
     CoreStats stats_;
+    /** The one reference in flight (an in-order core blocks on it), kept
+     *  here so the scheduled continuations capture only `this`. */
+    TraceRecord pending_;
+    PhysAddr pendingPaddr_ = 0;
 };
 
 } // namespace sdpcm

@@ -1,5 +1,7 @@
 #include "os/page_table.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace sdpcm {
@@ -8,37 +10,50 @@ Tlb::Tlb(unsigned entries)
     : capacity_(entries)
 {
     SDPCM_ASSERT(entries > 0, "TLB needs at least one entry");
+    vpages_.reserve(entries);
+    frames_.reserve(entries);
+    lastUse_.reserve(entries);
+}
+
+std::ptrdiff_t
+Tlb::find(std::uint64_t vpage) const
+{
+    for (std::size_t i = 0; i < vpages_.size(); ++i) {
+        if (vpages_[i] == vpage)
+            return static_cast<std::ptrdiff_t>(i);
+    }
+    return -1;
 }
 
 std::optional<std::uint64_t>
 Tlb::lookup(std::uint64_t vpage)
 {
-    auto it = map_.find(vpage);
-    if (it == map_.end()) {
+    const std::ptrdiff_t i = find(vpage);
+    if (i < 0) {
         misses_ += 1;
         return std::nullopt;
     }
     hits_ += 1;
-    lru_.splice(lru_.begin(), lru_, it->second.lruPos);
-    return it->second.frame;
+    lastUse_[i] = ++clock_;
+    return frames_[i];
 }
 
 void
 Tlb::insert(std::uint64_t vpage, std::uint64_t frame)
 {
-    auto it = map_.find(vpage);
-    if (it != map_.end()) {
-        it->second.frame = frame;
-        lru_.splice(lru_.begin(), lru_, it->second.lruPos);
-        return;
+    std::ptrdiff_t i = find(vpage);
+    if (i < 0 && vpages_.size() < capacity_) {
+        i = static_cast<std::ptrdiff_t>(vpages_.size());
+        vpages_.push_back(vpage);
+        frames_.push_back(frame);
+        lastUse_.push_back(0);
+    } else if (i < 0) {
+        i = std::min_element(lastUse_.begin(), lastUse_.end()) -
+            lastUse_.begin();
+        vpages_[i] = vpage;
     }
-    if (map_.size() >= capacity_) {
-        const std::uint64_t victim = lru_.back();
-        lru_.pop_back();
-        map_.erase(victim);
-    }
-    lru_.push_front(vpage);
-    map_[vpage] = Entry{frame, lru_.begin()};
+    frames_[i] = frame;
+    lastUse_[i] = ++clock_;
 }
 
 Mmu::Mmu(PageAllocatorSystem& allocator, const NmRatio& tag,

@@ -15,7 +15,6 @@
 #define SDPCM_OS_PAGE_TABLE_HH
 
 #include <cstdint>
-#include <list>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -51,14 +50,18 @@ class Tlb
     std::uint64_t misses() const { return misses_; }
 
   private:
+    /** Slot holding `vpage`, or -1. A linear scan over a small,
+     *  contiguous tag array: no per-miss node allocation. */
+    std::ptrdiff_t find(std::uint64_t vpage) const;
+
     unsigned capacity_;
-    std::list<std::uint64_t> lru_; //!< most recent at front
-    struct Entry
-    {
-        std::uint64_t frame;
-        std::list<std::uint64_t>::iterator lruPos;
-    };
-    std::unordered_map<std::uint64_t, Entry> map_;
+    // Parallel slot arrays, sized up to capacity_ and then reused. The
+    // least recently used slot (smallest stamp) is the eviction victim;
+    // stamps are unique, so this is exact LRU.
+    std::vector<std::uint64_t> vpages_;
+    std::vector<std::uint64_t> frames_;
+    std::vector<std::uint64_t> lastUse_;
+    std::uint64_t clock_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };

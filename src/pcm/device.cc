@@ -35,18 +35,16 @@ PcmDevice::PcmDevice(const DeviceConfig& config)
                  "DIN and FNW encoding are mutually exclusive");
     hardErrorMean_ = config_.aging.meanHardPerLineAtEol *
         std::pow(config_.aging.ageFraction, config_.aging.exponent);
-    banks_.resize(config_.geometry.banks());
-    // Pre-size the sparse line maps so steady-state insertion never
-    // rehashes. The full bank (rows x lines) would be gigabytes of
-    // buckets, so cap at a working-set-sized table; beyond that the map
-    // grows as usual.
-    const std::uint64_t lines_per_bank =
+    const std::uint64_t dimm_lines =
+        static_cast<std::uint64_t>(config_.geometry.banks()) *
         config_.geometry.rowsPerBank * config_.geometry.linesPerRow();
-    const std::size_t reserve_lines = static_cast<std::size_t>(
-        std::min<std::uint64_t>(lines_per_bank, 1ULL << 15));
-    for (auto& bank : banks_)
-        bank.reserve(reserve_lines);
-    resetScratch_.reserve(kLineBits);
+    SDPCM_ASSERT(dimm_lines <= kNoLine,
+                 "DIMM geometry exceeds 32-bit line indices: ", dimm_lines,
+                 " lines");
+    constexpr unsigned kInitialIndexBits = 10;
+    index_.assign(std::size_t(1) << kInitialIndexBits,
+                  IndexSlot{kNoLine, 0});
+    indexShift_ = 64 - kInitialIndexBits;
 }
 
 std::uint64_t
@@ -55,21 +53,82 @@ PcmDevice::lineKey(const LineAddr& addr) const
     return addr.row * config_.geometry.linesPerRow() + addr.line;
 }
 
+std::uint32_t
+PcmDevice::lineIndex(const LineAddr& addr) const
+{
+    return static_cast<std::uint32_t>(
+        (addr.bank * config_.geometry.rowsPerBank + addr.row) *
+            config_.geometry.linesPerRow() +
+        addr.line);
+}
+
+namespace {
+
+/** Fibonacci hash of a line index into a 2^(64 - shift)-slot table. */
+inline std::size_t
+indexHash(std::uint32_t line, unsigned shift)
+{
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(line) * 0x9e3779b97f4a7c15ULL) >>
+        shift);
+}
+
+} // namespace
+
 PcmDevice::LineState&
 PcmDevice::state(const LineAddr& addr)
 {
-    SDPCM_ASSERT(addr.bank < banks_.size(), "bank out of range");
+    SDPCM_ASSERT(addr.bank < config_.geometry.banks(), "bank out of range");
+    SDPCM_ASSERT(addr.row < config_.geometry.rowsPerBank,
+                 "row out of range");
     SDPCM_ASSERT(addr.line < config_.geometry.linesPerRow(),
                  "line out of range");
-    auto& bank = banks_[addr.bank];
-    const std::uint64_t key = lineKey(addr);
-    auto it = bank.find(key);
-    if (it != bank.end())
-        return it->second;
+    const std::uint32_t line = lineIndex(addr);
+    const std::size_t mask = index_.size() - 1;
+    std::size_t i = indexHash(line, indexShift_);
+    while (index_[i].line != kNoLine) {
+        if (index_[i].line == line)
+            return poolAt(index_[i].pool);
+        i = (i + 1) & mask;
+    }
 
-    // First touch: materialise deterministic content and, when modelling
-    // an aged DIMM, a sampled population of stuck-at cells.
-    LineState ls;
+    // First touch: take the next pool position (a new chunk when the
+    // last one is full; existing chunks never move).
+    const std::uint32_t pos = lineCount_;
+    if ((pos & (kPoolChunkLines - 1)) == 0)
+        pool_.push_back(std::make_unique<LineState[]>(kPoolChunkLines));
+    LineState& ls = poolAt(pos);
+    materialise(ls, addr);
+    index_[i] = IndexSlot{line, pos};
+    lineCount_ += 1;
+    if (2 * static_cast<std::size_t>(lineCount_) > index_.size())
+        growIndex();
+    return ls;
+}
+
+void
+PcmDevice::growIndex()
+{
+    std::vector<IndexSlot> old(index_.size() * 2, IndexSlot{kNoLine, 0});
+    old.swap(index_);
+    indexShift_ -= 1;
+    const std::size_t mask = index_.size() - 1;
+    for (const IndexSlot& slot : old) {
+        if (slot.line == kNoLine)
+            continue;
+        std::size_t i = indexHash(slot.line, indexShift_);
+        while (index_[i].line != kNoLine)
+            i = (i + 1) & mask;
+        index_[i] = slot;
+    }
+}
+
+void
+PcmDevice::materialise(LineState& ls, const LineAddr& addr)
+{
+    // Deterministic content and, when modelling an aged DIMM, a sampled
+    // population of stuck-at cells.
+    const std::uint64_t key = lineKey(addr);
     const std::uint64_t content_key =
         mix64(config_.seed ^ (static_cast<std::uint64_t>(addr.bank) << 58) ^
               key);
@@ -122,10 +181,6 @@ PcmDevice::state(const LineAddr& addr)
         ls.counters.ecpHighWater = static_cast<std::uint32_t>(
             ls.ecp.entries().size());
     }
-
-    auto [ins, ok] = bank.emplace(key, std::move(ls));
-    SDPCM_ASSERT(ok, "line state insert failed");
-    return ins->second;
 }
 
 bool
@@ -174,6 +229,11 @@ PcmDevice::resetPlan(WritePlan& plan, const LineAddr& addr)
     plan.wlHits.clear();
     plan.blHitsUpper = 0;
     plan.blHitsLower = 0;
+    plan.line = nullptr;
+    plan.left = nullptr;
+    plan.right = nullptr;
+    plan.upper = nullptr;
+    plan.lower = nullptr;
 }
 
 void
@@ -201,6 +261,7 @@ PcmDevice::planWriteInto(WritePlan& plan, const LineAddr& addr,
 {
     LineState& ls = state(addr);
     resetPlan(plan, addr);
+    plan.line = &ls;
 
     if (config_.dinEnabled) {
         const auto enc = din_.encode(new_logical, ls.physical);
@@ -239,6 +300,7 @@ PcmDevice::planCorrectionInto(WritePlan& plan, const LineAddr& addr,
 {
     LineState& ls = state(addr);
     resetPlan(plan, addr);
+    plan.line = &ls;
     plan.isCorrection = true;
     plan.targetFlags = ls.dinFlags;
 
@@ -316,23 +378,21 @@ PcmDevice::buildRounds(WritePlan& plan)
 }
 
 void
-PcmDevice::injectDisturbance(const LineAddr& addr, unsigned pos,
-                             WritePlan& plan, RoundOutcome& outcome)
+PcmDevice::injectDisturbance(unsigned pos, double wl_rate, WritePlan& plan,
+                             RoundOutcome& outcome)
 {
+    const LineAddr& addr = plan.addr;
     const unsigned word = pos >> 6;
     const unsigned offset = pos & 63;
-    const unsigned lines_per_row = config_.geometry.linesPerRow();
 
     // --- Word-line neighbours (same device row, adjacent cells on the
     // shared word-line; oxide isolation between bit-lines). DIN encoding
     // suppresses most vulnerable patterns along this direction.
-    const double wl_rate = config_.rates.wordLine *
-        (config_.dinEnabled ? config_.din.modeledResidualFactor : 1.0);
     if (wl_rate > 0.0) {
-        auto probe_wl = [&](LineAddr n_addr, unsigned n_pos, bool idle) {
-            if (!idle)
-                return;
-            LineState& ns = state(n_addr);
+        auto probe_wl = [&](LineState*& handle, unsigned n_line,
+                            unsigned n_pos) {
+            const LineAddr n_addr{addr.bank, addr.row, n_line};
+            LineState& ns = resolve(handle, n_addr);
             if (ns.physical.getBit(n_pos) || isHardCell(ns, n_pos))
                 return;
             // The natural draw always runs first so the device RNG stream
@@ -348,34 +408,33 @@ PcmDevice::injectDisturbance(const LineAddr& addr, unsigned pos,
             if (config_.lineCounters)
                 ns.counters.wdFlips += 1;
             if (ledger_) {
-                ledger_->recordFlip(plan.addr, plan.isCorrection, n_addr,
+                ledger_->recordFlip(addr, plan.isCorrection, n_addr,
                                     n_pos, /*word_line=*/true);
             }
-            plan.wlHits.push_back((n_addr.line << 9) | n_pos);
+            plan.wlHits.push_back((n_line << 9) | n_pos);
         };
 
-        // Left neighbour.
+        // Left neighbour (a cell this write programs is not idle).
         if (offset > 0) {
-            const unsigned n_pos = pos - 1;
-            probe_wl(addr, n_pos, !plan.writtenMask.getBit(n_pos));
+            if (!plan.writtenMask.getBit(pos - 1))
+                probe_wl(plan.line, addr.line, pos - 1);
         } else if (addr.line > 0) {
-            probe_wl(LineAddr{addr.bank, addr.row, addr.line - 1},
-                     (word << 6) | 63, true);
+            probe_wl(plan.left, addr.line - 1, (word << 6) | 63);
         }
         // Right neighbour.
         if (offset < 63) {
-            const unsigned n_pos = pos + 1;
-            probe_wl(addr, n_pos, !plan.writtenMask.getBit(n_pos));
-        } else if (addr.line + 1 < lines_per_row) {
-            probe_wl(LineAddr{addr.bank, addr.row, addr.line + 1},
-                     word << 6, true);
+            if (!plan.writtenMask.getBit(pos + 1))
+                probe_wl(plan.line, addr.line, pos + 1);
+        } else if (addr.line + 1 < config_.geometry.linesPerRow()) {
+            probe_wl(plan.right, addr.line + 1, word << 6);
         }
     }
 
     // --- Bit-line neighbours (adjacent device rows on the shared GST
     // rail; always idle since a write touches a single row).
     if (config_.rates.bitLine > 0.0) {
-        auto probe_bl = [&](const LineAddr& n_addr, bool upper) {
+        auto probe_bl = [&](LineState*& handle, std::uint64_t n_row,
+                            bool upper) {
             // Draw first: materialising the neighbour is only needed when
             // the thermal draw succeeds (the flip applies iff vulnerable).
             // As on the word line, the natural draw precedes any forced
@@ -384,7 +443,8 @@ PcmDevice::injectDisturbance(const LineAddr& addr, unsigned pos,
                 !(inject_ && inject_->forceWdFlip())) {
                 return;
             }
-            LineState& ns = state(n_addr);
+            const LineAddr n_addr{addr.bank, n_row, addr.line};
+            LineState& ns = resolve(handle, n_addr);
             if (ns.physical.getBit(pos) || isHardCell(ns, pos))
                 return;
             ns.physical.setBit(pos, true);
@@ -393,7 +453,7 @@ PcmDevice::injectDisturbance(const LineAddr& addr, unsigned pos,
             if (config_.lineCounters)
                 ns.counters.wdFlips += 1;
             if (ledger_) {
-                ledger_->recordFlip(plan.addr, plan.isCorrection, n_addr,
+                ledger_->recordFlip(addr, plan.isCorrection, n_addr,
                                     pos, /*word_line=*/false);
             }
             if (upper)
@@ -402,10 +462,10 @@ PcmDevice::injectDisturbance(const LineAddr& addr, unsigned pos,
                 plan.blHitsLower += 1;
         };
 
-        if (auto upper = map_.upperNeighbor(addr))
-            probe_bl(*upper, true);
-        if (auto lower = map_.lowerNeighbor(addr))
-            probe_bl(*lower, false);
+        if (addr.row > 0)
+            probe_bl(plan.upper, addr.row - 1, true);
+        if (addr.row + 1 < config_.geometry.rowsPerBank)
+            probe_bl(plan.lower, addr.row + 1, false);
     }
 }
 
@@ -429,7 +489,7 @@ PcmDevice::applyNextRound(WritePlan& plan, RoundOutcome& outcome)
     if (!plan.roundsRemaining())
         return false;
 
-    LineState& ls = state(plan.addr);
+    LineState& ls = *plan.line;
     const ProgramRound& round = plan.rounds[plan.nextRound];
     plan.nextRound += 1;
     const bool is_reset = round.isReset;
@@ -439,16 +499,16 @@ PcmDevice::applyNextRound(WritePlan& plan, RoundOutcome& outcome)
                                : config_.timing.setCycles;
 
     unsigned programmed = 0;
-    resetScratch_.clear();
-    std::vector<unsigned>& reset_cells = resetScratch_;
     {
         PROF_SCOPE(prof_, DevicePulse);
-        forEachSetBit(round.mask, [&](unsigned pos) {
-            ls.physical.setBit(pos, !is_reset);
-            ++programmed;
+        for (unsigned w = 0; w < kLineWords; ++w) {
+            const std::uint64_t m = round.mask.words[w];
             if (is_reset)
-                reset_cells.push_back(pos);
-        });
+                ls.physical.words[w] &= ~m;
+            else
+                ls.physical.words[w] |= m;
+            programmed += static_cast<unsigned>(popcount64(m));
+        }
     }
 
     stats_.dataCellWrites += programmed;
@@ -463,11 +523,19 @@ PcmDevice::applyNextRound(WritePlan& plan, RoundOutcome& outcome)
     }
 
     // Only RESET pulses disseminate enough heat to disturb (SET current is
-    // about half, i.e. ~4x lower temperature rise; Section 2.2.1).
+    // about half, i.e. ~4x lower temperature rise; Section 2.2.1). The
+    // scan walks the round mask in ascending cell order, after every
+    // pulse of the round has landed.
     {
         PROF_SCOPE(prof_, DeviceWdScan);
-        for (const unsigned pos : reset_cells)
-            injectDisturbance(plan.addr, pos, plan, outcome);
+        if (is_reset) {
+            const double wl_rate = config_.rates.wordLine *
+                (config_.dinEnabled ? config_.din.modeledResidualFactor
+                                    : 1.0);
+            forEachSetBit(round.mask, [&](unsigned pos) {
+                injectDisturbance(pos, wl_rate, plan, outcome);
+            });
+        }
     }
     return true;
 }
@@ -482,8 +550,12 @@ PcmDevice::repairWlHits(WritePlan& plan)
     for (const unsigned key : plan.wlHits) {
         const unsigned line = key >> 9;
         const unsigned pos = key & 511;
-        LineAddr fix_addr{plan.addr.bank, plan.addr.row, line};
-        LineState& fs = state(fix_addr);
+        // A hit was recorded through the handle its probe resolved.
+        LineState* handle = line == plan.addr.line ? plan.line
+            : line < plan.addr.line                ? plan.left
+                                                   : plan.right;
+        SDPCM_ASSERT(handle, "word-line hit on an unresolved line");
+        LineState& fs = *handle;
         if (fs.physical.getBit(pos)) {
             fs.physical.setBit(pos, false);
             fixed += 1;
@@ -495,8 +567,10 @@ PcmDevice::repairWlHits(WritePlan& plan)
                 if (fs.counters.cellWrites > maxLineCellWrites_)
                     maxLineCellWrites_ = fs.counters.cellWrites;
             }
-            if (ledger_)
-                ledger_->flipRepaired(fix_addr, pos);
+            if (ledger_) {
+                ledger_->flipRepaired(
+                    LineAddr{plan.addr.bank, plan.addr.row, line}, pos);
+            }
         }
     }
     return fixed;
@@ -510,14 +584,10 @@ PcmDevice::finishWrite(WritePlan& plan)
     FinishOutcome out;
     out.wlErrorsFixed = repairWlHits(plan);
 
-    // Fetch after the loop above: state() lookups never insert here (the
-    // fixed lines were materialised when disturbed), but re-fetching keeps
-    // the reference safe against future changes.
-    LineState& ls = state(plan.addr);
+    LineState& ls = *plan.line;
 
     if (!plan.isCorrection) {
         ls.dinFlags = plan.targetFlags;
-        ls.writeCount += 1;
         stats_.lineWrites += 1;
         if (config_.lineCounters)
             ls.counters.writes += 1;
@@ -660,22 +730,25 @@ PcmDevice::uncorrectableMask(const LineAddr& addr)
 std::vector<unsigned>
 PcmDevice::ecpWdCells(const LineAddr& addr)
 {
-    LineState& ls = state(addr);
     std::vector<unsigned> cells;
-    for (const auto& e : ls.ecp.entries()) {
-        if (!e.hard)
-            cells.push_back(e.cell);
-    }
+    ecpWdCellsInto(addr, cells);
     return cells;
+}
+
+void
+PcmDevice::ecpWdCellsInto(const LineAddr& addr, std::vector<unsigned>& out)
+{
+    out.clear();
+    for (const auto& e : state(addr).ecp.entries()) {
+        if (!e.hard)
+            out.push_back(e.cell);
+    }
 }
 
 std::size_t
 PcmDevice::touchedLines() const
 {
-    std::size_t n = 0;
-    for (const auto& bank : banks_)
-        n += bank.size();
-    return n;
+    return lineCount_;
 }
 
 std::vector<LineCounterSample>
@@ -686,15 +759,17 @@ PcmDevice::lineCounterSamples() const
         return samples;
     samples.reserve(touchedLines());
     const unsigned lines_per_row = config_.geometry.linesPerRow();
-    for (unsigned b = 0; b < banks_.size(); ++b) {
-        for (const auto& [key, ls] : banks_[b]) {
-            LineCounterSample s;
-            s.addr = LineAddr{b,
-                              key / lines_per_row,
-                              static_cast<unsigned>(key % lines_per_row)};
-            s.counters = ls.counters;
-            samples.push_back(s);
-        }
+    const std::uint64_t rows = config_.geometry.rowsPerBank;
+    for (const IndexSlot& slot : index_) {
+        if (slot.line == kNoLine)
+            continue;
+        const std::uint64_t bank_row = slot.line / lines_per_row;
+        LineCounterSample s;
+        s.addr = LineAddr{static_cast<unsigned>(bank_row / rows),
+                          bank_row % rows,
+                          static_cast<unsigned>(slot.line % lines_per_row)};
+        s.counters = poolAt(slot.pool).counters;
+        samples.push_back(s);
     }
     std::sort(samples.begin(), samples.end(),
               [](const LineCounterSample& a, const LineCounterSample& b) {

@@ -21,7 +21,7 @@
 #define SDPCM_PCM_DEVICE_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hh"
@@ -217,6 +217,10 @@ class PcmDevice
         bool isReset = false;
     };
 
+  private:
+    struct LineState;
+
+  public:
     struct WritePlan
     {
         LineAddr addr;
@@ -232,6 +236,16 @@ class PcmDevice
         std::vector<unsigned> wlHits;   //!< in-row disturbed cell keys
         unsigned blHitsUpper = 0;
         unsigned blHitsLower = 0;
+        // Stable handles into the device's line store (DESIGN §7.1). The
+        // written line is resolved when the plan is made; each neighbour
+        // (same row: left/right line; adjacent rows: upper/lower) is
+        // resolved at its first use and then kept for every round and
+        // for finishWrite. Re-planning clears all five.
+        LineState* line = nullptr;
+        LineState* left = nullptr;
+        LineState* right = nullptr;
+        LineState* upper = nullptr;
+        LineState* lower = nullptr;
 
         bool
         roundsRemaining() const
@@ -351,6 +365,9 @@ class PcmDevice
     /** Cells currently parked as WD entries in the line's ECP table. */
     std::vector<unsigned> ecpWdCells(const LineAddr& addr);
 
+    /** Scratch-reusing variant: `out` is cleared and refilled. */
+    void ecpWdCellsInto(const LineAddr& addr, std::vector<unsigned>& out);
+
     /** Number of distinct lines materialised (test/diagnostic hook). */
     std::size_t touchedLines() const;
 
@@ -370,12 +387,39 @@ class PcmDevice
         std::vector<std::pair<std::uint16_t, bool>> hardCells;
         /** Last content written to each ECP entry slot (wear model). */
         std::vector<std::uint16_t> ecpSlotImage;
-        std::uint32_t writeCount = 0;
         LineCounters counters; //!< updated only when config_.lineCounters
     };
 
+    /** Find a line's state, materialising it on first touch. */
     LineState& state(const LineAddr& addr);
+
+    /** Resolve a plan handle at its first use; later uses are free. */
+    LineState&
+    resolve(LineState*& handle, const LineAddr& addr)
+    {
+        if (!handle)
+            handle = &state(addr);
+        return *handle;
+    }
+
+    /** Row-local key: row * linesPerRow + line (content seed). */
     std::uint64_t lineKey(const LineAddr& addr) const;
+
+    /** DIMM-wide line index: (bank * rowsPerBank + row) * linesPerRow
+     *  + line; the geometry is asserted to fit 32 bits. */
+    std::uint32_t lineIndex(const LineAddr& addr) const;
+
+    /** Build a first-touched line's state (may draw from rng_). */
+    void materialise(LineState& ls, const LineAddr& addr);
+
+    /** Double the index and re-insert every line (states stay put). */
+    void growIndex();
+
+    LineState&
+    poolAt(std::uint32_t i) const
+    {
+        return pool_[i >> kPoolChunkShift][i & (kPoolChunkLines - 1)];
+    }
 
     /** Reset a plan for reuse, keeping its vectors' capacity. */
     static void resetPlan(WritePlan& plan, const LineAddr& addr);
@@ -388,9 +432,10 @@ class PcmDevice
 
     bool isHardCell(const LineState& ls, unsigned pos) const;
 
-    /** Inject WD for one applied RESET at (addr, pos). */
-    void injectDisturbance(const LineAddr& addr, unsigned pos,
-                           WritePlan& plan, RoundOutcome& outcome);
+    /** Inject WD for one applied RESET of the plan's line at `pos`;
+     *  `wl_rate` is the effective word-line rate of this round. */
+    void injectDisturbance(unsigned pos, double wl_rate, WritePlan& plan,
+                           RoundOutcome& outcome);
 
     /** Charge differential bit writes for an ECP entry update. */
     void chargeEcpEntryWrite(LineState& ls, std::size_t slot,
@@ -413,11 +458,25 @@ class PcmDevice
     /** Injected stuck-cell scratch for state() (reused per line). */
     std::vector<unsigned> injectScratch_;
 
-    /** RESET-cell scratch for applyNextRound (reused across rounds). */
-    std::vector<unsigned> resetScratch_;
+    // --- Sparse line store. LineStates live in fixed-size chunks that
+    // never move, so a LineState* (a plan handle) stays valid for the
+    // device's lifetime. One open-addressing index (linear probing,
+    // load <= 1/2) maps DIMM-wide line indices to pool positions.
 
-    /** Per-bank sparse line stores; key = row * linesPerRow + line. */
-    std::vector<std::unordered_map<std::uint64_t, LineState>> banks_;
+    /** 8-byte index slot; `line == kNoLine` marks an empty slot. */
+    struct IndexSlot
+    {
+        std::uint32_t line;
+        std::uint32_t pool;
+    };
+    static constexpr std::uint32_t kNoLine = 0xffffffffu;
+    static constexpr unsigned kPoolChunkShift = 8;
+    static constexpr std::uint32_t kPoolChunkLines = 1u << kPoolChunkShift;
+
+    std::vector<IndexSlot> index_;
+    unsigned indexShift_ = 0; //!< 64 - log2(index_.size())
+    std::vector<std::unique_ptr<LineState[]>> pool_;
+    std::uint32_t lineCount_ = 0;
 };
 
 } // namespace sdpcm

@@ -98,6 +98,7 @@ class EcpLine
         }
         if (entries_.size() >= capacity_)
             return false;
+        reserveTable();
         entries_.push_back({static_cast<std::uint16_t>(cell), false, false});
         return true;
     }
@@ -129,6 +130,7 @@ class EcpLine
             }
             return false;
         }
+        reserveTable();
         entries_.push_back(
             {static_cast<std::uint16_t>(cell), correct_value, true});
         return true;
@@ -166,6 +168,15 @@ class EcpLine
     }
 
   private:
+    /** Size the table for all N entries at its first use: one
+     *  allocation per line instead of one per capacity doubling. */
+    void
+    reserveTable()
+    {
+        if (entries_.capacity() < capacity_)
+            entries_.reserve(capacity_);
+    }
+
     unsigned capacity_;
     std::vector<EcpEntry> entries_;
 };

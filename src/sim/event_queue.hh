@@ -4,27 +4,42 @@
  *
  * A single global queue orders callbacks by tick (CPU cycles at 4GHz);
  * ties are broken by insertion order so runs are fully deterministic.
+ *
+ * Allocation-free in steady state: the binary heap holds small
+ * {tick, seq, slot} records, and each callback lives in a slot of a
+ * chunked slab whose chunks never move. A callback runs in place in its
+ * slot (it may schedule further events meanwhile) and the slot returns
+ * to the free list only after it returns.
  */
 
 #ifndef SDPCM_SIM_EVENT_QUEUE_HH
 #define SDPCM_SIM_EVENT_QUEUE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <queue>
+#include <memory>
 #include <vector>
 
+#include "common/inline_function.hh"
 #include "common/logging.hh"
 #include "obs/profiler.hh"
 #include "pcm/timing.hh"
 
 namespace sdpcm {
 
+/**
+ * In-place capture budget of every hot-path callback (event callbacks,
+ * bank-op completions, read completions, write-space waiters). Sized so
+ * an InlineFunction is 48 bytes; a larger capture fails to compile.
+ */
+inline constexpr std::size_t kCallbackBytes = 40;
+
 /** Tick-ordered event queue. */
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
+    using Callback = InlineFunction<void(), kCallbackBytes>;
 
     /** Schedule a callback at an absolute tick (>= now). */
     void
@@ -32,7 +47,10 @@ class EventQueue
     {
         SDPCM_ASSERT(when >= now_, "scheduling into the past: ", when,
                      " < ", now_);
-        heap_.push(Event{when, nextSeq_++, std::move(cb)});
+        const std::uint32_t s = allocSlot();
+        slot(s) = std::move(cb);
+        heap_.push_back(Event{when, nextSeq_++, s});
+        std::push_heap(heap_.begin(), heap_.end(), Later{});
     }
 
     /** Schedule a callback `delay` ticks from now. */
@@ -86,10 +104,9 @@ class EventQueue
     {
         if (heap_.empty())
             return false;
-        // Move the callback out before popping: the callback may schedule
-        // new events.
-        Event ev = std::move(const_cast<Event&>(heap_.top()));
-        heap_.pop();
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
+        const Event ev = heap_.back();
+        heap_.pop_back();
         now_ = ev.when;
         if (now_ >= nextHookTick_) {
             for (Hook& h : hooks_) {
@@ -106,8 +123,12 @@ class EventQueue
             // instrumented subsystems below it (controller stages,
             // device scans, samplers) open their own child scopes.
             PROF_SCOPE(prof_, EventDispatch);
-            ev.cb();
+            // Runs in place: chunks never move, and this slot is not on
+            // the free list until the callback has returned.
+            slot(ev.slot)();
         }
+        slot(ev.slot).reset();
+        freeSlots_.push_back(ev.slot);
         return true;
     }
 
@@ -122,25 +143,57 @@ class EventQueue
     void
     run(Tick max_ticks = ~Tick(0))
     {
-        while (!heap_.empty() && heap_.top().when <= max_ticks)
+        while (!heap_.empty() && heap_.front().when <= max_ticks)
             runNext();
     }
 
   private:
+    /** Heap record; the callback itself stays put in its slab slot. */
     struct Event
     {
         Tick when;
         std::uint64_t seq;
-        Callback cb;
+        std::uint32_t slot;
+    };
 
+    /** Max-heap order that surfaces the earliest (tick, seq) first. */
+    struct Later
+    {
         bool
-        operator>(const Event& other) const
+        operator()(const Event& a, const Event& b) const
         {
-            if (when != other.when)
-                return when > other.when;
-            return seq > other.seq;
+            if (a.when != b.when)
+                return a.when > b.when;
+            return a.seq > b.seq;
         }
     };
+
+    /** Callback slots per slab chunk (power of two). */
+    static constexpr std::uint32_t kChunkShift = 10;
+    static constexpr std::uint32_t kChunkSlots = 1u << kChunkShift;
+
+    Callback&
+    slot(std::uint32_t s)
+    {
+        return chunks_[s >> kChunkShift][s & (kChunkSlots - 1)];
+    }
+
+    std::uint32_t
+    allocSlot()
+    {
+        if (freeSlots_.empty()) {
+            // Grow by one chunk; existing chunks (and any callback
+            // running in one) stay where they are.
+            const auto base = static_cast<std::uint32_t>(
+                chunks_.size() << kChunkShift);
+            chunks_.push_back(std::make_unique<Callback[]>(kChunkSlots));
+            for (std::uint32_t i = kChunkSlots; i-- > 0;)
+                freeSlots_.push_back(base + i);
+        }
+        const std::uint32_t s = freeSlots_.back();
+        freeSlots_.pop_back();
+        return s;
+    }
 
     struct Hook
     {
@@ -159,7 +212,9 @@ class EventQueue
         }
     }
 
-    std::priority_queue<Event, std::vector<Event>, std::greater<>> heap_;
+    std::vector<Event> heap_;
+    std::vector<std::unique_ptr<Callback[]>> chunks_;
+    std::vector<std::uint32_t> freeSlots_;
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t processed_ = 0;

@@ -6,13 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "common/args.hh"
 #include "common/bitops.hh"
+#include "common/ring_queue.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -133,6 +136,67 @@ TEST(Bitops, GetSetBit)
     x = setBit(x, 5, false);
     EXPECT_FALSE(getBit(x, 5));
     EXPECT_EQ(x, 0u);
+}
+
+TEST(Bitops, Popcount64MatchesStdPopcount)
+{
+    const std::uint64_t edges[] = {
+        0, 1, ~0ULL, 1ULL << 63, ~0ULL >> 1, 0x5555555555555555ULL,
+        0xaaaaaaaaaaaaaaaaULL, 0x0f0f0f0f0f0f0f0fULL, 0xff00ff00ff00ff00ULL,
+        0x8000000000000001ULL, 0x0123456789abcdefULL};
+    for (const std::uint64_t x : edges)
+        EXPECT_EQ(popcount64(x), std::popcount(x)) << std::hex << x;
+    for (unsigned b = 0; b < 64; ++b) {
+        EXPECT_EQ(popcount64(1ULL << b), 1);
+        EXPECT_EQ(popcount64(~(1ULL << b)), 63);
+        EXPECT_EQ(popcount64((1ULL << b) - 1), static_cast<int>(b));
+    }
+    Rng rng(77);
+    for (int i = 0; i < 10000; ++i) {
+        // Mix dense, sparse and uniform words.
+        std::uint64_t x = rng.next64();
+        if (i % 3 == 1)
+            x &= rng.next64() & rng.next64();
+        else if (i % 3 == 2)
+            x |= rng.next64() | rng.next64();
+        ASSERT_EQ(popcount64(x), std::popcount(x)) << std::hex << x;
+    }
+}
+
+TEST(RingQueue, FifoAcrossWrapAndGrowth)
+{
+    RingQueue<int> q;
+    int next_in = 0, next_out = 0;
+    // Interleave pushes and pops so the head wraps, then let the queue
+    // grow while wrapped: order must survive every resize.
+    for (int round = 0; round < 50; ++round) {
+        for (int k = 0; k < 7; ++k)
+            q.push_back(next_in++);
+        for (int k = 0; k < 5; ++k) {
+            ASSERT_EQ(q.front(), next_out++);
+            q.pop_front();
+        }
+        ASSERT_EQ(q.size(), static_cast<std::size_t>(next_in - next_out));
+        for (std::size_t i = 0; i < q.size(); ++i)
+            ASSERT_EQ(q[i], next_out + static_cast<int>(i));
+    }
+}
+
+TEST(RingQueue, PushFrontRequeuesAtHead)
+{
+    RingQueue<int> q;
+    for (int i = 1; i <= 8; ++i)
+        q.push_back(int{i}); // exactly fills the first buffer
+    q.pop_front();
+    q.push_front(100);
+    q.push_front(200); // forces growth with the head mid-buffer
+    const std::vector<int> want = {200, 100, 2, 3, 4, 5, 6, 7, 8};
+    ASSERT_EQ(q.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        EXPECT_EQ(q[i], want[i]);
+    while (!q.empty())
+        q.pop_front();
+    EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(RunningStat, Accumulates)

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "sim/event_queue.hh"
 #include "sim/runner.hh"
 
@@ -46,6 +50,39 @@ TEST(EventQueue, NestedScheduling)
     q.run();
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(q.now(), 2u);
+}
+
+TEST(EventQueue, OrderHoldsAcrossManySlabChunks)
+{
+    // Far more pending events than one slab chunk holds, scheduled out
+    // of order, with many tick ties: pops must follow (tick, seq).
+    EventQueue q;
+    std::vector<std::pair<Tick, int>> fired;
+    const int n = 5000;
+    for (int i = 0; i < n; ++i) {
+        const Tick when = static_cast<Tick>((i * 7919) % 613);
+        q.schedule(when, [&fired, when, i] { fired.emplace_back(when, i); });
+    }
+    q.run();
+    ASSERT_EQ(fired.size(), static_cast<std::size_t>(n));
+    for (int i = 1; i < n; ++i)
+        ASSERT_LT(fired[i - 1], fired[i]) << "at " << i;
+}
+
+TEST(EventQueue, NonTrivialCapturesAreReleased)
+{
+    auto token = std::make_shared<int>(7);
+    {
+        EventQueue q;
+        int seen = 0;
+        q.schedule(1, [token, &seen] { seen = *token; });
+        q.schedule(100, [token] {}); // still pending at destruction
+        EXPECT_EQ(token.use_count(), 3);
+        q.run(50);
+        EXPECT_EQ(seen, 7);
+        EXPECT_EQ(token.use_count(), 2); // the fired callback is gone
+    }
+    EXPECT_EQ(token.use_count(), 1); // and so is the pending one
 }
 
 TEST(EventQueue, MaxTicksStopsEarly)
