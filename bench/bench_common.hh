@@ -103,6 +103,12 @@ configFromArgs(const ArgParser& args, std::int64_t default_refs = 10000)
             SDPCM_FATAL("bad --inject spec: ", e.what());
         }
     }
+    if (args.has("epoch-csv") || args.has("epoch-json")) {
+        // telemetryFromArgs accepts these for sdpcm_cli; a bench would
+        // silently write nothing.
+        SDPCM_FATAL("--epoch-csv/--epoch-json are sdpcm_cli outputs; "
+                    "benches write no epoch series");
+    }
     cfg.telemetry = telemetryFromArgs(args);
     cfg.wdLedger = args.has("wd-ledger") || args.has("wd-top");
     cfg.profile = args.has("profile") || args.has("profile-top") ||

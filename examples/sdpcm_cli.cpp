@@ -11,7 +11,7 @@
  *   sdpcm_cli --capture=mcf.trace --workload=mcf --refs=50000
  *   sdpcm_cli --replay=mcf.trace --scheme=baseline
  *   sdpcm_cli --scheme=sdpcm --workload=mcf \
- *             --trace=sdpcm.trace.json --epoch=100000 \
+ *             --trace=sdpcm.trace.json --telemetry-interval=100000 \
  *             --epoch-csv=sdpcm.epochs.csv
  */
 
@@ -115,12 +115,18 @@ main(int argc, char** argv)
             "                    activity (open in https://ui.perfetto.dev"
             " or\n"
             "                    chrome://tracing; ts/dur are sim ticks)\n"
-            "  --epoch=N         sample controller counters every N ticks"
-            "\n"
-            "  --epoch-csv=FILE  write the epoch series as CSV\n"
-            "  --epoch-json=FILE write the epoch series as JSON\n"
-            "                    (with --epoch but no file, CSV goes to "
-            "stdout)\n"
+            "  --epoch-csv[=FILE]\n"
+            "                    write the epoch series (one row of "
+            "controller\n"
+            "                    counter deltas and queue gauges per "
+            "telemetry\n"
+            "                    frame) as CSV; a bare flag prints it to "
+            "stdout.\n"
+            "                    Turns telemetry on; --telemetry-interval"
+            "=N sets\n"
+            "                    the cadence (default 100000)\n"
+            "  --epoch-json=FILE write the epoch series as JSON (same "
+            "rules)\n"
             "  --report=FILE     write a machine-readable run report "
             "(JSON;\n"
             "                    compare across runs with report_diff)\n"
@@ -246,8 +252,6 @@ main(int argc, char** argv)
     cfg.jobs = static_cast<unsigned>(args.getInt("jobs", 0));
     cfg.aging.ageFraction = args.getDouble("age", 0.0);
     cfg.tracePath = args.getString("trace", "");
-    cfg.epochTicks =
-        static_cast<Tick>(args.getInt("epoch", 0));
     const bool want_heatmap = args.has("heatmap");
     cfg.lineCounters = args.getBool("line-counters", false) || want_heatmap;
     // A bare --spans stores "1" (enable, no file); any other value is
@@ -299,8 +303,14 @@ main(int argc, char** argv)
 
     // Output flags used after the run, hoisted so every supported
     // option is declared before the unknown-flag check below.
-    const std::string epoch_csv_path = args.getString("epoch-csv", "");
+    // Bare --epoch-csv stores "1": print the CSV to stdout.
+    const bool want_epoch_csv = args.has("epoch-csv");
+    const std::string epoch_csv_arg = args.getString("epoch-csv", "");
+    const std::string epoch_csv_path =
+        epoch_csv_arg == "1" ? "" : epoch_csv_arg;
     const std::string epoch_json_path = args.getString("epoch-json", "");
+    if (epoch_json_path == "1")
+        SDPCM_FATAL("--epoch-json needs a file: --epoch-json=FILE");
     const std::string heatmap_kind_name =
         args.getString("heatmap", "writes");
     const unsigned heatmap_bins =
@@ -329,6 +339,10 @@ main(int argc, char** argv)
     }
 
     if (workload_name == "all" && !want_replay) {
+        if (want_epoch_csv || !epoch_json_path.empty()) {
+            SDPCM_FATAL("--epoch-csv/--epoch-json write one run's series;"
+                        " --workload=all runs a matrix");
+        }
         // Matrix mode: the scheme over every Table 3 workload, fanned
         // out across --jobs workers with ordered progress on stderr.
         const auto workloads = standardWorkloads();
@@ -491,29 +505,24 @@ main(int argc, char** argv)
                            cfg.telemetry.promPath);
         }
     }
-    if (m.epochs.enabled()) {
-        const std::string& csv_path = epoch_csv_path;
-        const std::string& json_path = epoch_json_path;
-        if (!csv_path.empty()) {
-            std::ofstream os(csv_path);
-            if (!os)
-                SDPCM_FATAL("cannot open ", csv_path);
-            m.epochs.dumpCsv(os);
-            SDPCM_PROGRESS("epoch series (", m.epochs.samples.size(),
-                           " samples) written to ", csv_path);
-        }
-        if (!json_path.empty()) {
-            std::ofstream os(json_path);
-            if (!os)
-                SDPCM_FATAL("cannot open ", json_path);
-            m.epochs.dumpJson(os);
-            SDPCM_PROGRESS("epoch series (", m.epochs.samples.size(),
-                           " samples) written to ", json_path);
-        }
-        if (csv_path.empty() && json_path.empty()) {
-            std::cout << "\n";
-            m.epochs.dumpCsv(std::cout);
-        }
+    if (!epoch_csv_path.empty()) {
+        std::ofstream os(epoch_csv_path);
+        if (!os)
+            SDPCM_FATAL("cannot open ", epoch_csv_path);
+        m.epochs.dumpCsv(os);
+        SDPCM_PROGRESS("epoch series (", m.epochs.samples.size(),
+                       " samples) written to ", epoch_csv_path);
+    } else if (want_epoch_csv) {
+        std::cout << "\n";
+        m.epochs.dumpCsv(std::cout);
+    }
+    if (!epoch_json_path.empty()) {
+        std::ofstream os(epoch_json_path);
+        if (!os)
+            SDPCM_FATAL("cannot open ", epoch_json_path);
+        m.epochs.dumpJson(os);
+        SDPCM_PROGRESS("epoch series (", m.epochs.samples.size(),
+                       " samples) written to ", epoch_json_path);
     }
     if (want_heatmap) {
         HeatmapKind kind;

@@ -23,9 +23,12 @@ telemetryFromArgs(const ArgParser& args)
         static_cast<unsigned>(args.getInt("telemetry-window", 8));
     cfg.intervalTicks =
         static_cast<Tick>(args.getInt("telemetry-interval", 0));
+    // The epoch series is a view of the frames, so its outputs need
+    // sampling too; the frontend reads the paths and writes the files.
     const bool wanted = !cfg.path.empty() || !cfg.promPath.empty() ||
                         !cfg.monitorRules.empty() ||
-                        cfg.watchdogTicks > 0;
+                        cfg.watchdogTicks > 0 || args.has("epoch-csv") ||
+                        args.has("epoch-json");
     if (cfg.intervalTicks == 0 && wanted) {
         // Any telemetry output without an explicit cadence turns
         // sampling on at a default frame interval (25us at 4GHz).
@@ -71,6 +74,37 @@ promLabelValue(const std::string& v)
     }
     return out;
 }
+
+/** One epoch-series column and the frame signal it views. */
+struct EpochColumn
+{
+    const char* metric;
+    std::uint64_t EpochSample::*field;
+};
+
+const EpochColumn kEpochCounters[] = {
+    {"ctrl.readsServiced", &EpochSample::readsServiced},
+    {"ctrl.readsForwarded", &EpochSample::readsForwarded},
+    {"ctrl.writesAccepted", &EpochSample::writesAccepted},
+    {"ctrl.writesCompleted", &EpochSample::writesCompleted},
+    {"ctrl.writeDrains", &EpochSample::writeDrains},
+    {"ctrl.ecpUpdates", &EpochSample::ecpUpdates},
+    {"ctrl.correctionWrites", &EpochSample::correctionWrites},
+    {"ctrl.writeCancellations", &EpochSample::writeCancellations},
+    {"ctrl.cycles.read", &EpochSample::cyclesRead},
+    {"ctrl.cycles.preRead", &EpochSample::cyclesPreRead},
+    {"ctrl.cycles.write", &EpochSample::cyclesWrite},
+    {"ctrl.cycles.verify", &EpochSample::cyclesVerify},
+    {"ctrl.cycles.correction", &EpochSample::cyclesCorrection},
+    {"ctrl.cycles.ecp", &EpochSample::cyclesEcp},
+};
+
+const EpochColumn kEpochGauges[] = {
+    {"ctrl.readQueued", &EpochSample::readQueued},
+    {"ctrl.writeQueued", &EpochSample::writeQueued},
+    {"ctrl.maxBankWriteQueue", &EpochSample::maxBankWriteQueue},
+    {"ctrl.pendingCorrections", &EpochSample::pendingCorrections},
+};
 
 } // namespace
 
@@ -151,6 +185,8 @@ TelemetrySampler::TelemetrySampler(EventQueue& events,
         monitors_->bind(registry_);
     }
 
+    epochs_.epochTicks = cfg_.intervalTicks;
+
     prevCounters_.resize(registry_.counters().size(), 0);
     counterTotals_.resize(registry_.counters().size(), 0);
     windows_.resize(registry_.latencies().size());
@@ -181,8 +217,8 @@ TelemetrySampler::start()
                      cfg_.intervalTicks, ")");
     }
     writeMeta();
-    hookId_ = events_.addTickHook(cfg_.intervalTicks,
-                                  [this](Tick now) { takeFrame(now); });
+    events_.setTickHook(cfg_.intervalTicks,
+                        [this](Tick now) { takeFrame(now); });
 }
 
 void
@@ -192,7 +228,7 @@ TelemetrySampler::finalize()
         return;
     SDPCM_ASSERT(started_, "telemetry sampler finalized before start");
     finalized_ = true;
-    events_.removeTickHook(hookId_);
+    events_.clearTickHook();
 
     // Capture the tail partial frame (activity since the last boundary).
     // Hooks fire *before* the first event at a boundary tick, so a run
@@ -313,6 +349,7 @@ TelemetrySampler::takeFrame(Tick now)
     summary_.frames += 1;
     lastFrameTick_ = now;
     writeFrame(fd);
+    appendEpochRow(fd);
 
     if (monitors_) {
         for (const BreachEvent& b : monitors_->evaluate(fd)) {
@@ -362,6 +399,46 @@ TelemetrySampler::takeFrame(Tick now)
                             {{"window", static_cast<double>(idle)}});
         }
     }
+}
+
+void
+TelemetrySampler::appendEpochRow(const FrameData& fd)
+{
+    EpochSample row;
+    row.tick = fd.tick;
+    bool moved = false;
+    for (const EpochColumn& c : kEpochCounters) {
+        // Back to the unsigned wrap delta the column has always held.
+        row.*c.field =
+            static_cast<std::uint64_t>(fd.counterDeltas.at(c.metric));
+        moved |= row.*c.field != 0;
+    }
+    for (const EpochColumn& c : kEpochGauges)
+        row.*c.field = fd.gauges.at(c.metric);
+
+    // The only frame that can share the previous row's tick is the
+    // catch-up frame finalize() takes for activity after a boundary
+    // poll. When none of that activity reached an epoch column (a
+    // PreRead issued on the final tick moves only ctrl.preReadsIssued
+    // and device.lineReads), the row would repeat its predecessor's
+    // tick with all-zero deltas, so the series keeps no such row.
+    if (!moved && !epochs_.samples.empty() &&
+        epochs_.samples.back().tick == row.tick)
+        return;
+    epochs_.samples.push_back(row);
+    if (!trace_)
+        return;
+    trace_->counter("queues", row.tick,
+                    {{"reads_queued", static_cast<double>(row.readQueued)},
+                     {"writes_queued",
+                      static_cast<double>(row.writeQueued)},
+                     {"pending_corrections",
+                      static_cast<double>(row.pendingCorrections)}});
+    trace_->counter("throughput", row.tick,
+                    {{"reads_serviced",
+                      static_cast<double>(row.readsServiced)},
+                     {"writes_completed",
+                      static_cast<double>(row.writesCompleted)}});
 }
 
 void

@@ -12,7 +12,7 @@
  * never constructed (the same absent-when-off idiom as TraceSink /
  * SpanRecorder).
  *
- * The TelemetrySampler rides an EventQueue tick hook: every
+ * The TelemetrySampler rides the EventQueue tick hook: every
  * `intervalTicks` it polls the registry, forms counter *deltas* since
  * the previous frame, snapshots gauges, and maintains a ring-of-epochs
  * windowed view of each latency sketch (cumulative QuantileSketch
@@ -20,7 +20,10 @@
  * deltas merge into the sliding window the SLO monitors read p99s
  * from). Frames stream to a JSONL file as the run progresses, and a
  * Prometheus text-exposition dump of the final cumulative state can be
- * written for future scrape-based serving.
+ * written for future scrape-based serving. Each frame also appends one
+ * row to the epoch series (obs/epoch_series.hh), a fixed view of 14
+ * controller counter deltas and 4 queue gauges, mirrored into the trace
+ * as `queues`/`throughput` counter tracks when a sink is attached.
  *
  * Telescoping invariant (tested, asserted at finalize): summing a
  * counter's frame deltas over all frames — including the final partial
@@ -44,6 +47,7 @@
 #include <vector>
 
 #include "common/stats.hh"
+#include "obs/epoch_series.hh"
 #include "obs/trace_sink.hh"
 #include "sim/event_queue.hh"
 
@@ -77,10 +81,12 @@ struct TelemetryConfig
 /**
  * Shared frontend parsing (CLI and benches): --telemetry=FILE,
  * --telemetry-interval=N, --telemetry-prom=FILE, --telemetry-window=N,
- * --monitor=RULES, --watchdog=N. Passing any telemetry flag without an
- * explicit interval enables sampling at a default interval. Monitor
- * rules are validated here (fail-fast before any simulation runs);
- * SDPCM_FATAL on a malformed spec.
+ * --monitor=RULES, --watchdog=N, and the epoch-series outputs
+ * --epoch-csv[=FILE] / --epoch-json=FILE (the frontend writes those
+ * files; this only notes that they need sampling). Passing any of these
+ * without an explicit interval enables sampling at a default interval.
+ * Monitor rules are validated here (fail-fast before any simulation
+ * runs); SDPCM_FATAL on a malformed spec.
  */
 TelemetryConfig telemetryFromArgs(const ArgParser& args);
 
@@ -175,9 +181,10 @@ struct TelemetrySummary
 };
 
 /**
- * Polls the registry every frame interval via an EventQueue tick hook,
- * streams JSONL frames, evaluates SLO monitors and the forward-progress
- * watchdog, and dumps Prometheus text exposition at finalize.
+ * Polls the registry every frame interval via the EventQueue tick hook,
+ * streams JSONL frames, keeps the epoch series, evaluates SLO monitors
+ * and the forward-progress watchdog, and dumps Prometheus text
+ * exposition at finalize.
  */
 class TelemetrySampler
 {
@@ -186,7 +193,8 @@ class TelemetrySampler
      * @param registry the fully wired registry (moved in).
      * @param scheme / @param workload label the stream (meta line,
      *        Prometheus labels).
-     * @param sink optional: mirror breach/stall instants into the trace.
+     * @param sink optional: mirror the epoch rows (counter tracks) and
+     *        breach/stall instants into the trace.
      * Throws std::invalid_argument on a malformed monitor rule spec.
      */
     TelemetrySampler(EventQueue& events, MetricRegistry registry,
@@ -221,6 +229,9 @@ class TelemetrySampler
 
     const TelemetrySummary& summary() const { return summary_; }
 
+    /** One row per frame (see appendEpochRow for the catch-up rule). */
+    const EpochSeries& epochs() const { return epochs_; }
+
   private:
     /** Per-latency windowed state: ring of per-frame delta sketches. */
     struct LatencyWindow
@@ -235,6 +246,9 @@ class TelemetrySampler
     bool unobservedActivity() const;
 
     void takeFrame(Tick now);
+    /** The epoch series' fixed view of one frame, plus its trace
+     *  counter tracks. */
+    void appendEpochRow(const FrameData& fd);
     void writeMeta();
     void writeFrame(const FrameData& fd);
     void writeSummaryLine(Tick now);
@@ -257,9 +271,9 @@ class TelemetrySampler
      *  silently to JSONL/trace, with a per-rule summary at finalize). */
     std::set<std::string> warnedRules_;
     TelemetrySummary summary_;
+    EpochSeries epochs_;
     HostProfiler* prof_ = nullptr;
     Tick lastFrameTick_ = 0;
-    std::size_t hookId_ = 0;
     bool started_ = false;
     bool finalized_ = false;
 };

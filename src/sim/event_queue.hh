@@ -65,37 +65,30 @@ class EventQueue
     std::uint64_t processed() const { return processed_; }
 
     /**
-     * Install a periodic observation hook: `hook(now)` runs before the
-     * first event at or after each multiple of `interval` ticks (epoch
-     * samplers, telemetry frames, watchdogs). Unlike a self-rescheduling
-     * event, a hook never keeps the queue alive, so a drained queue
-     * still ends the run. Hooks observe state only — they must not
-     * schedule events. Several hooks with independent intervals may be
-     * installed; when one tick crosses multiple boundaries the due hooks
-     * fire in installation order (deterministic). @return a hook id for
-     * removeTickHook().
+     * Install the periodic observation hook: `hook(now)` runs before the
+     * first event at or after each multiple of `interval` ticks (the
+     * telemetry sampler's frames). Unlike a self-rescheduling event, the
+     * hook never keeps the queue alive, so a drained queue still ends
+     * the run. The hook observes state only — it must not schedule
+     * events or touch the hook slot. The queue has one slot: installing
+     * a second hook while one is set is an error.
      */
-    std::size_t
-    addTickHook(Tick interval, std::function<void(Tick)> hook)
+    void
+    setTickHook(Tick interval, std::function<void(Tick)> hook)
     {
         SDPCM_ASSERT(interval > 0, "tick-hook interval must be positive");
-        Hook h;
-        h.interval = interval;
-        h.next = (now_ / interval + 1) * interval;
-        h.fn = std::move(hook);
-        hooks_.push_back(std::move(h));
-        recomputeNextHookTick();
-        return hooks_.size() - 1;
+        SDPCM_ASSERT(!hook_, "a tick hook is already installed");
+        hookInterval_ = interval;
+        hook_ = std::move(hook);
+        nextHookTick_ = (now_ / interval + 1) * interval;
     }
 
-    /** Uninstall a hook by the id addTickHook() returned. */
+    /** Uninstall the tick hook (a no-op when none is set). */
     void
-    removeTickHook(std::size_t id)
+    clearTickHook()
     {
-        SDPCM_ASSERT(id < hooks_.size(), "unknown tick-hook id ", id);
-        hooks_[id].fn = nullptr;
-        hooks_[id].next = ~Tick(0);
-        recomputeNextHookTick();
+        hook_ = nullptr;
+        nextHookTick_ = ~Tick(0);
     }
 
     /** Pop and run the earliest event. @return false if queue is empty. */
@@ -109,13 +102,8 @@ class EventQueue
         heap_.pop_back();
         now_ = ev.when;
         if (now_ >= nextHookTick_) {
-            for (Hook& h : hooks_) {
-                if (h.fn && now_ >= h.next) {
-                    h.fn(now_);
-                    h.next = (now_ / h.interval + 1) * h.interval;
-                }
-            }
-            recomputeNextHookTick();
+            hook_(now_);
+            nextHookTick_ = (now_ / hookInterval_ + 1) * hookInterval_;
         }
         processed_ += 1;
         {
@@ -195,23 +183,6 @@ class EventQueue
         return s;
     }
 
-    struct Hook
-    {
-        Tick interval = 0;
-        Tick next = ~Tick(0);
-        std::function<void(Tick)> fn;
-    };
-
-    void
-    recomputeNextHookTick()
-    {
-        nextHookTick_ = ~Tick(0);
-        for (const Hook& h : hooks_) {
-            if (h.fn && h.next < nextHookTick_)
-                nextHookTick_ = h.next;
-        }
-    }
-
     std::vector<Event> heap_;
     std::vector<std::unique_ptr<Callback[]>> chunks_;
     std::vector<std::uint32_t> freeSlots_;
@@ -219,7 +190,8 @@ class EventQueue
     std::uint64_t nextSeq_ = 0;
     std::uint64_t processed_ = 0;
     Tick nextHookTick_ = ~Tick(0);
-    std::vector<Hook> hooks_;
+    Tick hookInterval_ = 0;
+    std::function<void(Tick)> hook_;
     HostProfiler* prof_ = nullptr;
 };
 

@@ -40,7 +40,6 @@ runOne(const SchemeConfig& scheme, const WorkloadSpec& workload,
     sc.seed = cfg.seed;
     sc.maxTicks = cfg.maxTicks;
     sc.tracePath = cfg.tracePath;
-    sc.epochTicks = cfg.epochTicks;
     sc.lineCounters = cfg.lineCounters;
     sc.spans = cfg.spans;
     sc.telemetry = cfg.telemetry;

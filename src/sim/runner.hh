@@ -45,7 +45,6 @@ struct RunnerConfig
     // single runs (runOne); matrix runs would overwrite one file, so the
     // matrix executor drops it with a warning.
     std::string tracePath;
-    Tick epochTicks = 0;
     /** Track per-line wear/WD counters (RunMetrics::lines, heatmaps). */
     bool lineCounters = false;
     /** Per-request span attribution (RunMetrics::spans). */

@@ -218,10 +218,6 @@ System::System(const SystemConfig& config, const WorkloadSpec& workload)
             traceSink_->threadName(b, "bank " + std::to_string(b));
         ctrl_->setTraceSink(traceSink_.get());
     }
-    if (config_.epochTicks > 0) {
-        epochSampler_ = std::make_unique<EpochSampler>(
-            events_, *ctrl_, config_.epochTicks, traceSink_.get());
-    }
     if (config_.verifyOracle) {
         oracle_ = std::make_unique<ShadowOracle>(events_, *device_);
         oracle_->setTraceSink(traceSink_.get());
@@ -268,8 +264,6 @@ System::System(const SystemConfig& config, const WorkloadSpec& workload)
         ctrl_->setProfiler(profiler_.get());
         if (traceSink_)
             traceSink_->setProfiler(profiler_.get());
-        if (epochSampler_)
-            epochSampler_->setProfiler(profiler_.get());
         if (telemetrySampler_)
             telemetrySampler_->setProfiler(profiler_.get());
     }
@@ -288,17 +282,14 @@ System::System(const SystemConfig& config, const WorkloadSpec& workload)
 void
 System::run()
 {
-    if (epochSampler_)
-        epochSampler_->start();
     if (telemetrySampler_)
         telemetrySampler_->start();
     for (auto& core : cores_)
         core->start();
     events_.run(config_.maxTicks);
-    if (epochSampler_)
-        epochSampler_->finalize();
     // Before the trace closes: the final partial frame may still emit
-    // breach/stall instants into the trace.
+    // an epoch row's counter tracks and breach/stall instants into the
+    // trace.
     if (telemetrySampler_)
         telemetrySampler_->finalize();
     // Final drain-state audit before the trace closes, so mismatch
@@ -550,8 +541,6 @@ System::metrics() const
     m.finalTick = events_.now();
     m.device = device_->stats();
     m.ctrl = ctrl_->stats();
-    if (epochSampler_)
-        m.epochs = epochSampler_->series();
     if (config_.lineCounters)
         m.lines = device_->lineCounterSamples();
     if (oracle_)
@@ -589,6 +578,7 @@ System::metrics() const
     }
     if (telemetrySampler_) {
         m.telemetry = telemetrySampler_->summary();
+        m.epochs = telemetrySampler_->epochs();
         // Hard cross-check: every telemetry counter total (the wrap-sum
         // of frame deltas) must bit-match the run report under the same
         // name — frames and report are two paths to one truth.

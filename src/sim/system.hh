@@ -14,7 +14,6 @@
 
 #include "controller/memctrl.hh"
 #include "cpu/core.hh"
-#include "obs/epoch_sampler.hh"
 #include "obs/ledger.hh"
 #include "obs/profiler.hh"
 #include "obs/telemetry.hh"
@@ -63,8 +62,6 @@ struct SystemConfig
     // --- Observability (both default off: zero-overhead fast path). ---
     /** Write a Chrome trace-event JSON of bank activity to this path. */
     std::string tracePath;
-    /** Sample controller counters every N ticks (0 disables). */
-    Tick epochTicks = 0;
     /** Track per-line wear/WD counters for spatial heatmaps. */
     bool lineCounters = false;
     /** Per-request span attribution (obs/spans.hh). */
@@ -106,7 +103,7 @@ struct RunMetrics
     Tick finalTick = 0;
     DeviceStats device;
     CtrlStats ctrl;
-    EpochSeries epochs; //!< empty unless SystemConfig::epochTicks > 0
+    EpochSeries epochs; //!< empty unless telemetry was on
     /** Sorted per-line counters; empty unless lineCounters was on. */
     std::vector<LineCounterSample> lines;
     /** Oracle counters; `enabled` false unless verifyOracle was on. */
@@ -188,7 +185,6 @@ class System
     std::unique_ptr<PcmDevice> device_;
     std::unique_ptr<MemoryController> ctrl_;
     std::unique_ptr<ChromeTraceSink> traceSink_;
-    std::unique_ptr<EpochSampler> epochSampler_;
     std::unique_ptr<FaultInjector> faultInjector_;
     std::unique_ptr<ShadowOracle> oracle_;
     std::unique_ptr<SpanRecorder> spanRecorder_;

@@ -150,7 +150,7 @@ main()
     std::vector<Sample> samples;
     samples.reserve(1 << 16);
     EventQueue& events = system.events();
-    events.addTickHook(10000, [&](Tick) {
+    events.setTickHook(10000, [&](Tick) {
         if (g_secondPass == kCores && samples.size() < samples.capacity()) {
             samples.push_back(
                 Sample{events.processed(),

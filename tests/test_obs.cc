@@ -1,8 +1,9 @@
 /**
  * @file
  * Observability subsystem tests: Chrome trace JSON shape and ordering,
- * epoch time-series conservation against the end-of-run totals, and the
- * quantile estimators against exact-sort oracles.
+ * epoch time-series conservation against the end-of-run totals, the
+ * event queue's tick hook, and the quantile estimators against
+ * exact-sort oracles.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +20,7 @@
 
 #include "common/stats.hh"
 #include "obs/csv.hh"
-#include "obs/epoch_sampler.hh"
+#include "obs/epoch_series.hh"
 #include "obs/json.hh"
 #include "obs/trace_sink.hh"
 #include "sim/event_queue.hh"
@@ -393,7 +394,7 @@ epochRun(Tick epoch_ticks, const char* workload = "mcf")
     cfg.refsPerCore = 2000;
     cfg.cores = 4;
     cfg.seed = 11;
-    cfg.epochTicks = epoch_ticks;
+    cfg.telemetry.intervalTicks = epoch_ticks;
     return runOne(SchemeConfig::lazyCPreReadNm(NmRatio{2, 3}),
                   workloadFromProfile(workload), cfg);
 }
@@ -514,7 +515,7 @@ TEST(EventQueue, TickHookFiresOnBoundariesAndStopsWithQueue)
 {
     EventQueue q;
     std::vector<Tick> hook_ticks;
-    q.addTickHook(10, [&](Tick t) { hook_ticks.push_back(t); });
+    q.setTickHook(10, [&](Tick t) { hook_ticks.push_back(t); });
     for (Tick t : {3u, 9u, 12u, 25u, 26u, 40u})
         q.schedule(t, [] {});
     q.run();
@@ -523,30 +524,27 @@ TEST(EventQueue, TickHookFiresOnBoundariesAndStopsWithQueue)
     EXPECT_EQ(q.now(), 40u);
 }
 
-/** Hooks with independent intervals coexist; removal leaves the rest. */
-TEST(EventQueue, MultipleTickHooksFireIndependently)
+/** One hook slot: a second install is a bug, a cleared slot refills. */
+TEST(EventQueueDeathTest, SecondTickHookIsRejected)
 {
     EventQueue q;
-    std::vector<Tick> tens, sevens;
-    const std::size_t ten_id =
-        q.addTickHook(10, [&](Tick t) { tens.push_back(t); });
-    q.addTickHook(7, [&](Tick t) { sevens.push_back(t); });
+    q.setTickHook(10, [](Tick) {});
+    EXPECT_DEATH(q.setTickHook(7, [](Tick) {}),
+                 "a tick hook is already installed");
+
+    q.clearTickHook();
+    std::vector<Tick> sevens;
+    q.setTickHook(7, [&](Tick t) { sevens.push_back(t); });
     for (Tick t : {5u, 8u, 14u, 21u, 30u})
         q.schedule(t, [] {});
     q.run();
-    // 10-hook boundaries 10,20,30 -> first events at 14, 21, 30;
-    // 7-hook boundaries 7,14,21,28 -> first events at 8, 14, 21, 30.
-    EXPECT_EQ(tens, (std::vector<Tick>{14, 21, 30}));
     EXPECT_EQ(sevens, (std::vector<Tick>{8, 14, 21, 30}));
 
-    q.removeTickHook(ten_id);
-    tens.clear();
+    q.clearTickHook();
     sevens.clear();
-    for (Tick t : {36u, 50u})
-        q.schedule(t, [] {});
+    q.schedule(40, [] {});
     q.run();
-    EXPECT_TRUE(tens.empty());
-    EXPECT_EQ(sevens, (std::vector<Tick>{36, 50}));
+    EXPECT_TRUE(sevens.empty());
 }
 
 // ---------------------------------------------------------------------

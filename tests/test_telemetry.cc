@@ -1,11 +1,10 @@
 /**
  * @file
  * Streaming-telemetry tests: sketch delta algebra, monitor-rule grammar
- * and evaluation, watchdog semantics, and full-System runs checking the
- * telescoping invariant (frame deltas sum to run totals), epoch/
- * telemetry window alignment at non-divisible intervals, the JSONL
- * stream shape, the Prometheus dump, and telemetry-on/off metric
- * identity.
+ * and evaluation, watchdog semantics, frontend flag parsing, and
+ * full-System runs checking the telescoping invariant (frame deltas sum
+ * to run totals), the JSONL stream shape, the Prometheus dump, and
+ * telemetry-on/off metric identity.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/args.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "obs/json.hh"
@@ -306,18 +306,43 @@ TEST(Watchdog, FlagsOncePerElapsedWindowWhilePending)
 }
 
 // ---------------------------------------------------------------------
+// Frontend flags
+// ---------------------------------------------------------------------
+
+TelemetryConfig
+parseTelemetry(std::vector<const char*> argv)
+{
+    argv.insert(argv.begin(), "prog");
+    const ArgParser args(static_cast<int>(argv.size()),
+                         const_cast<char**>(argv.data()));
+    return telemetryFromArgs(args);
+}
+
+/** Epoch outputs are telemetry outputs: alone, they turn sampling on. */
+TEST(TelemetryFromArgs, EpochOutputsEnableSamplingAtDefaultInterval)
+{
+    EXPECT_FALSE(parseTelemetry({}).enabled());
+    EXPECT_EQ(parseTelemetry({"--epoch-csv"}).intervalTicks, 100000u);
+    EXPECT_EQ(parseTelemetry({"--epoch-csv=e.csv"}).intervalTicks,
+              100000u);
+    EXPECT_EQ(parseTelemetry({"--epoch-json=e.json"}).intervalTicks,
+              100000u);
+    EXPECT_EQ(parseTelemetry({"--epoch-csv", "--telemetry-interval=5000"})
+                  .intervalTicks,
+              5000u);
+}
+
+// ---------------------------------------------------------------------
 // Full-System integration
 // ---------------------------------------------------------------------
 
 RunMetrics
 telemetryRun(RunnerConfig cfg, Tick interval,
-             const std::string& rules = "", const std::string& path = "",
-             Tick epoch_ticks = 0)
+             const std::string& rules = "", const std::string& path = "")
 {
     cfg.refsPerCore = 2000;
     cfg.cores = 4;
     cfg.seed = 11;
-    cfg.epochTicks = epoch_ticks;
     cfg.telemetry.intervalTicks = interval;
     cfg.telemetry.monitorRules = rules;
     cfg.telemetry.path = path;
@@ -384,30 +409,6 @@ TEST(TelemetryIntegration, FrameDeltasSumToReportTotals)
         EXPECT_EQ(sum, snap.get(name)) << name;
     }
     std::remove(path.c_str());
-}
-
-/**
- * Epoch sampler and telemetry at non-divisible intervals: both ride
- * tick hooks of the same queue, sample at different boundaries, and
- * must both telescope to the same run totals.
- */
-TEST(TelemetryIntegration, AlignsWithEpochSamplerAtOddIntervals)
-{
-    const RunMetrics m =
-        telemetryRun(RunnerConfig{}, 17001, "", "", 23000);
-    ASSERT_TRUE(m.telemetry.enabled);
-    ASSERT_TRUE(m.epochs.enabled());
-
-    std::uint64_t epoch_reads = 0, epoch_wcycles = 0;
-    for (const EpochSample& s : m.epochs.samples) {
-        epoch_reads += s.readsServiced;
-        epoch_wcycles += s.cyclesWrite;
-    }
-    EXPECT_EQ(m.telemetry.counterTotals.at("ctrl.readsServiced"),
-              epoch_reads);
-    EXPECT_EQ(m.telemetry.counterTotals.at("ctrl.cycles.write"),
-              epoch_wcycles);
-    EXPECT_EQ(epoch_reads, m.ctrl.readsServiced);
 }
 
 /** An interval longer than the whole run: one final catch-all frame. */
