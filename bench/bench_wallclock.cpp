@@ -20,16 +20,18 @@
  * every pre-existing metric stays bit-identical (spans, telemetry, the
  * ledger and the profiler observe, never perturb), and the
  * everything-off path keeps its speed — pass --baseline=FILE (a
- * previous BENCH_parallel.json) to fail the bench if the
- * observability-off serial wall-clock regressed more than 2%, or if
- * the profiler-on pass costs more than 2% over the same run's
- * profiler-off serial pass.
+ * previous BENCH_parallel.json of the same run shape: refs_per_core,
+ * cores, seed and matrix dimensions must match, or the bench stops
+ * before any pass runs) to fail the bench if the observability-off
+ * serial wall-clock regressed more than 2%, or if the profiler-on pass
+ * costs more than 2% over the same run's profiler-off serial pass.
  */
 
 #include <chrono>
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "bench_common.hh"
 
@@ -105,9 +107,14 @@ subsetIdentical(const std::vector<SchemeResults>& base,
     return ok;
 }
 
-/** serial_seconds of a previous BENCH_parallel.json, or -1. */
+/**
+ * serial_seconds of a previous BENCH_parallel.json. Wall-clock compares
+ * only across runs of one shape, so SDPCM_FATAL unless the baseline's
+ * refs_per_core, cores, seed and matrix dimensions equal this run's.
+ */
 double
-baselineSerialSeconds(const std::string& path)
+baselineSerialSeconds(const std::string& path, const RunnerConfig& cfg,
+                      std::size_t schemes, std::size_t workloads)
 {
     std::ifstream is(path);
     if (!is)
@@ -115,11 +122,27 @@ baselineSerialSeconds(const std::string& path)
     std::ostringstream buf;
     buf << is.rdbuf();
     const JsonValue doc = parseJson(buf.str());
-    if (!doc.isObject() || !doc.has("serial_seconds") ||
-        doc.at("serial_seconds").type != JsonValue::Type::Number) {
-        SDPCM_FATAL("baseline ", path, " has no serial_seconds");
+    const auto number = [&](const char* key) {
+        if (!doc.has(key) || doc.at(key).type != JsonValue::Type::Number)
+            SDPCM_FATAL("baseline ", path, " has no ", key);
+        return doc.at(key).number;
+    };
+    const std::pair<const char*, double> shape[] = {
+        {"refs_per_core", static_cast<double>(cfg.refsPerCore)},
+        {"cores", static_cast<double>(cfg.cores)},
+        {"seed", static_cast<double>(cfg.seed)},
+        {"schemes", static_cast<double>(schemes)},
+        {"workloads", static_cast<double>(workloads)},
+    };
+    for (const auto& [key, ours] : shape) {
+        if (number(key) != ours) {
+            SDPCM_FATAL("baseline ", path, " ran with ", key, "=",
+                        number(key), " but this run has ", key, "=",
+                        ours, "; wall-clock compares only runs of the "
+                        "same shape");
+        }
     }
-    return doc.at("serial_seconds").number;
+    return number("serial_seconds");
 }
 
 } // namespace
@@ -159,6 +182,10 @@ main(int argc, char** argv)
     banner("Wall-clock: serial vs parallel matrix", cfg);
     std::cout << schemes.size() << " schemes x " << workloads.size()
               << " workloads\n\n";
+    const double base_s = baseline_path.empty()
+        ? 0.0
+        : baselineSerialSeconds(baseline_path, cfg, schemes.size(),
+                                workloads.size());
 
     // The harness owns the observability knobs: the first two passes
     // are the everything-off reference pair regardless of --spans,
@@ -293,7 +320,6 @@ main(int argc, char** argv)
 
     bool baseline_ok = true;
     if (!baseline_path.empty()) {
-        const double base_s = baselineSerialSeconds(baseline_path);
         const double rel = base_s > 0.0 ? serial_s / base_s - 1.0 : 0.0;
         std::cout << "baseline : " << TablePrinter::fmt(base_s, 3)
                   << " s spans-off serial ("
