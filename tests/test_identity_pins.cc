@@ -98,6 +98,29 @@ TEST(IdentityPins, InjectedStuckCellsAndForcedFlips)
     EXPECT_EQ(digestOf(aged), "3702dec87278c293");
 }
 
+TEST(IdentityPins, AgedEcp2InjectedLazyCorrection)
+{
+    // ECP-2 on an aged DIMM with injected stuck cells under LazyC: lines
+    // saturate with hard entries, WD parking overflows, and parked
+    // entries are released on rewrite and parked again, so every ECP
+    // slot image is written, cleared and refilled. Line counters are on
+    // so the digest covers each line's ECP high-water mark too.
+    SchemeConfig scheme = SchemeConfig::lazyC();
+    scheme.ecpEntries = 2;
+    RunnerConfig cfg = pinConfig();
+    cfg.lineCounters = true;
+    cfg.aging.ageFraction = 0.6;
+    cfg.faults = FaultSpec::parse("stuck=0.3,seed=5");
+    const RunMetrics m = run(scheme, "mcf", cfg);
+    EXPECT_GT(m.device.injectedStuckCells, 0u);
+    EXPECT_GT(m.device.ecpWdReleased, 0u);
+    EXPECT_EQ(m.device.ecpBitsWritten, 124610u);
+    EXPECT_EQ(m.device.ecpOverflows, 4811u);
+    EXPECT_EQ(m.device.ecpSaturatedLines, 1135u);
+    EXPECT_EQ(m.device.hardErrors, 10260u);
+    EXPECT_EQ(digestOf(m), "287d74cb4a1d3075");
+}
+
 TEST(IdentityPins, FlipNWrite)
 {
     const RunMetrics m = run(SchemeConfig::fnwVnc(), "mcf", pinConfig());
