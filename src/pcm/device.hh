@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -64,8 +65,8 @@ struct AgingConfig
  *
  * Disabled by default: the hot path pays only a predictable branch per
  * increment site when `DeviceConfig::lineCounters` is off, and the
- * per-line memory cost (24 bytes/line) is only incurred for lines that
- * are materialised anyway.
+ * counters (24 bytes/line) live in a side array that exists only when
+ * the option is on.
  */
 struct LineCounters
 {
@@ -378,17 +379,37 @@ class PcmDevice
     std::vector<LineCounterSample> lineCounterSamples() const;
 
   private:
+    /** A stuck-at cell: (position, stuck value). */
+    using HardCell = std::pair<std::uint16_t, bool>;
+
+    /**
+     * Per-line state few lines ever need (DESIGN §7.1): the ECP table,
+     * the ECP-chip slot image and the stuck-at cells. A line gets one at
+     * its first hard cell or first parked WD entry (the slot image can
+     * only turn non-zero once an entry exists); it is never freed.
+     */
+    struct ColdLine
+    {
+        EcpLine ecp;
+        std::vector<HardCell> hardCells;
+        /** Last content written to each ECP entry slot (wear model);
+         *  empty until the first non-zero image, and a missing slot
+         *  reads as zero. */
+        std::vector<std::uint16_t> ecpSlotImage;
+    };
+
+    static constexpr std::uint32_t kNoCold = 0xffffffffu;
+
+    /** The hot per-line record: all the read path and WD scan touch. */
     struct LineState
     {
         LineData physical;
         std::uint64_t dinFlags = 0;
-        EcpLine ecp;
-        /** Stuck-at cells: (position, stuck value). */
-        std::vector<std::pair<std::uint16_t, bool>> hardCells;
-        /** Last content written to each ECP entry slot (wear model). */
-        std::vector<std::uint16_t> ecpSlotImage;
-        LineCounters counters; //!< updated only when config_.lineCounters
+        std::uint32_t cold = kNoCold; //!< cold-pool position, if any
+        std::uint32_t pos = 0;        //!< own pool position (counters)
     };
+    static_assert(sizeof(LineState) <= 80,
+                  "the hot line record must stay within 80 bytes");
 
     /** Find a line's state, materialising it on first touch. */
     LineState& state(const LineAddr& addr);
@@ -430,16 +451,50 @@ class PcmDevice
     /** Decompose a plan's program masks into driver rounds. */
     void buildRounds(WritePlan& plan);
 
-    bool isHardCell(const LineState& ls, unsigned pos) const;
+    /** True if `pos` is a stuck-at cell of the line; free for the
+     *  (common) line without a cold record. */
+    bool
+    isHardCell(const LineState& ls, unsigned pos) const
+    {
+        return ls.cold != kNoCold && isHardCell(coldAt(ls.cold), pos);
+    }
+    static bool isHardCell(const ColdLine& cold, unsigned pos);
+
+    /** The line's cold record, or null if it has none. */
+    ColdLine*
+    coldOf(const LineState& ls) const
+    {
+        return ls.cold == kNoCold ? nullptr : &coldAt(ls.cold);
+    }
+
+    /** The line's cold record, created on first use. */
+    ColdLine& coldFor(LineState& ls);
+
+    ColdLine&
+    coldAt(std::uint32_t i) const
+    {
+        return cold_[i >> kPoolChunkShift][i & (kPoolChunkLines - 1)];
+    }
+
+    /** Pin a materialising line's stuck-at cell in its ECP table. */
+    void addHardCell(LineState& ls, unsigned pos);
+
+    /** The line's side counters (only when config_.lineCounters). */
+    LineCounters&
+    countersOf(const LineState& ls) const
+    {
+        return counters_[ls.pos >> kPoolChunkShift]
+                        [ls.pos & (kPoolChunkLines - 1)];
+    }
 
     /** Inject WD for one applied RESET of the plan's line at `pos`;
      *  `wl_rate` is the effective word-line rate of this round. */
     void injectDisturbance(unsigned pos, double wl_rate, WritePlan& plan,
                            RoundOutcome& outcome);
 
-    /** Charge differential bit writes for an ECP entry update. */
-    void chargeEcpEntryWrite(LineState& ls, std::size_t slot,
-                             std::uint16_t new_image);
+    /** Charge differential bit writes for the ECP table's current
+     *  entries against the slot image, and store the new image. */
+    void chargeEcpImage(ColdLine& cold);
 
     DeviceConfig config_;
     AddressMap map_;
@@ -461,7 +516,9 @@ class PcmDevice
     // --- Sparse line store. LineStates live in fixed-size chunks that
     // never move, so a LineState* (a plan handle) stays valid for the
     // device's lifetime. One open-addressing index (linear probing,
-    // load <= 1/2) maps DIMM-wide line indices to pool positions.
+    // load <= 1/2) maps DIMM-wide line indices to pool positions. Cold
+    // records live in a second chunked pool of their own; side counters
+    // in chunks parallel to the line pool (DESIGN §7.1).
 
     /** 8-byte index slot; `line == kNoLine` marks an empty slot. */
     struct IndexSlot
@@ -477,6 +534,11 @@ class PcmDevice
     unsigned indexShift_ = 0; //!< 64 - log2(index_.size())
     std::vector<std::unique_ptr<LineState[]>> pool_;
     std::uint32_t lineCount_ = 0;
+    std::vector<std::unique_ptr<ColdLine[]>> cold_;
+    std::uint32_t coldCount_ = 0;
+    /** Per-line counters, chunk for chunk with pool_; empty unless
+     *  config_.lineCounters. */
+    std::vector<std::unique_ptr<LineCounters[]>> counters_;
 };
 
 } // namespace sdpcm
