@@ -51,16 +51,17 @@ void
 TraceCore::perform()
 {
     const Translation tr = mmu_.translate(pending_.vaddr);
+    pendingPaddr_ = tr.paddr;
     if (!tr.tlbHit && tlbMissCycles_ > 0) {
-        // Charge the page-table walk, then retry with a warm TLB.
+        // Charge the page-table walk, then retry with a warm TLB. The
+        // MMU is this core's own, so the retry is a hit on the entry
+        // the miss installed and translates to the same address.
         events_.scheduleAfter(tlbMissCycles_, [this] {
-            const Translation tr2 = mmu_.translate(pending_.vaddr);
-            pendingPaddr_ = tr2.paddr;
+            mmu_.retryAfterWalk(pending_.vaddr);
             performTranslated();
         });
         return;
     }
-    pendingPaddr_ = tr.paddr;
     performTranslated();
 }
 

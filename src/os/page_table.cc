@@ -31,6 +31,8 @@ Tlb::lookup(std::uint64_t vpage)
     const std::ptrdiff_t i = find(vpage);
     if (i < 0) {
         misses_ += 1;
+        missVpage_ = vpage;
+        missClock_ = clock_;
         return std::nullopt;
     }
     hits_ += 1;
@@ -41,7 +43,9 @@ Tlb::lookup(std::uint64_t vpage)
 void
 Tlb::insert(std::uint64_t vpage, std::uint64_t frame)
 {
-    std::ptrdiff_t i = find(vpage);
+    // Right after a miss on this page it is known to be absent.
+    std::ptrdiff_t i =
+        vpage == missVpage_ && clock_ == missClock_ ? -1 : find(vpage);
     if (i < 0 && vpages_.size() < capacity_) {
         i = static_cast<std::ptrdiff_t>(vpages_.size());
         vpages_.push_back(vpage);
@@ -54,6 +58,16 @@ Tlb::insert(std::uint64_t vpage, std::uint64_t frame)
     }
     frames_[i] = frame;
     lastUse_[i] = ++clock_;
+    lastFill_ = static_cast<std::size_t>(i);
+}
+
+void
+Tlb::hitInstalled(std::uint64_t vpage)
+{
+    SDPCM_ASSERT(lastFill_ < vpages_.size() && vpages_[lastFill_] == vpage &&
+                     lastUse_[lastFill_] == clock_,
+                 "TLB retry hit on a page the last fill did not install");
+    hits_ += 1;
 }
 
 Mmu::Mmu(PageAllocatorSystem& allocator, const NmRatio& tag,

@@ -40,11 +40,22 @@ class Tlb
   public:
     explicit Tlb(unsigned entries = 64);
 
-    /** Look up a virtual page; returns the frame on a hit. */
+    /**
+     * Look up a virtual page; returns the frame on a hit. A miss is
+     * remembered, so an insert() of that page before any other lookup
+     * or insert skips its own search.
+     */
     std::optional<std::uint64_t> lookup(std::uint64_t vpage);
 
     /** Install a translation (evicts LRU if full). */
     void insert(std::uint64_t vpage, std::uint64_t frame);
+
+    /**
+     * Count a hit on `vpage`, which the last insert() installed and
+     * nothing has touched since (the retry after a page walk), without
+     * a search. Its LRU stamp stays: it is already the newest.
+     */
+    void hitInstalled(std::uint64_t vpage);
 
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
@@ -62,6 +73,11 @@ class Tlb
     std::vector<std::uint64_t> frames_;
     std::vector<std::uint64_t> lastUse_;
     std::uint64_t clock_ = 0;
+    // The last lookup miss: valid while clock_ still equals missClock_
+    // (every hit and insert advances the clock).
+    std::uint64_t missVpage_ = 0;
+    std::uint64_t missClock_ = ~std::uint64_t(0);
+    std::size_t lastFill_ = 0; //!< slot of the last insert
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };
@@ -81,6 +97,17 @@ class Mmu
 
     /** Translate a virtual byte address, allocating on first touch. */
     Translation translate(std::uint64_t vaddr);
+
+    /**
+     * Account the retry of a translate() that missed, after its page
+     * walk: the walk filled the TLB, so the retry is a hit on that
+     * entry and the address translates as the miss already returned.
+     */
+    void
+    retryAfterWalk(std::uint64_t vaddr)
+    {
+        tlb_.hitInstalled(vaddr / pageBytes_);
+    }
 
     /** Release every frame the process owns (process exit). */
     void releaseAll();

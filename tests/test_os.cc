@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "os/dma.hh"
 #include "os/page_table.hh"
@@ -52,6 +55,92 @@ TEST(Tlb, ReinsertUpdatesFrame)
     tlb.insert(1, 10);
     tlb.insert(1, 11);
     EXPECT_EQ(*tlb.lookup(1), 11u);
+}
+
+/** FNV-1a of a hit/miss pattern string. */
+std::uint64_t
+patternHash(const std::string& pattern)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : pattern) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/** Fixed page stream: 70% from 12 hot pages, 30% from 200 cold ones. */
+std::uint64_t
+nextPage(std::uint64_t& x)
+{
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    const std::uint64_t r = x >> 33;
+    return r % 10 < 7 ? (r / 10) % 12 : 100 + (r / 10) % 200;
+}
+
+// The counts, the hit/miss pattern and the final resident set below were
+// recorded with the TLB that searched again on every fill and translated
+// the post-walk retry in full; the miss path now reuses its search, and
+// the eviction order must not move.
+TEST(Tlb, MissFillRetryReplayMatchesRecordedLru)
+{
+    Tlb tlb(8);
+    std::uint64_t x = 7;
+    std::string pattern;
+    for (int i = 0; i < 4000; ++i) {
+        const std::uint64_t v = nextPage(x);
+        if (tlb.lookup(v)) {
+            pattern += 'h';
+            continue;
+        }
+        pattern += 'm';
+        tlb.insert(v, v * 3 + 1);
+        tlb.hitInstalled(v);
+    }
+    std::vector<std::uint64_t> resident;
+    for (std::uint64_t v = 0; v < 300; ++v) {
+        if (tlb.lookup(v))
+            resident.push_back(v);
+    }
+    EXPECT_EQ(tlb.hits(), 4008u);
+    EXPECT_EQ(tlb.misses(), 3071u);
+    EXPECT_EQ(patternHash(pattern), 0x27feadb10734702cULL);
+    EXPECT_EQ(resident, (std::vector<std::uint64_t>{0, 4, 9, 103, 126, 194,
+                                                    208, 299}));
+}
+
+TEST(TlbDeathTest, RetryHitNeedsTheLastFill)
+{
+    Tlb tlb(4);
+    tlb.insert(1, 10);
+    tlb.insert(2, 20);
+    EXPECT_DEATH(tlb.hitInstalled(1), "last fill did not install");
+    tlb.lookup(1); // page 2 is no longer the newest entry
+    EXPECT_DEATH(tlb.hitInstalled(2), "last fill did not install");
+}
+
+TEST(Mmu, WalkRetryReplayMatchesRecordedCounts)
+{
+    PageAllocatorSystem sys(smallGeometry());
+    Mmu mmu(sys, NmRatio{1, 1}, 4096, 8);
+    std::uint64_t x = 11;
+    std::string pattern;
+    std::uint64_t paddrs = 0;
+    for (int i = 0; i < 4000; ++i) {
+        const std::uint64_t vaddr = nextPage(x) * 4096 + (i % 64) * 64;
+        const Translation t = mmu.translate(vaddr);
+        pattern += t.tlbHit ? 'h' : 'm';
+        paddrs = paddrs * 31 + t.paddr;
+        if (!t.tlbHit) {
+            mmu.retryAfterWalk(vaddr);
+            paddrs = paddrs * 31 + t.paddr;
+        }
+    }
+    EXPECT_EQ(mmu.tlb().hits(), 4000u);
+    EXPECT_EQ(mmu.tlb().misses(), 2750u);
+    EXPECT_EQ(patternHash(pattern), 0xc0bb5fd2cf512b1dULL);
+    EXPECT_EQ(paddrs, 0x312cc5ffe7793300ULL);
+    EXPECT_EQ(mmu.pageFaults(), 212u);
 }
 
 TEST(Mmu, DemandPagingAllocatesOnFirstTouch)
