@@ -122,8 +122,9 @@ configFromArgs(const ArgParser& args, std::int64_t default_refs = 10000)
     cfg.profileSample = static_cast<std::uint32_t>(prof_sample);
     cfg.enduranceCellWrites = args.getDouble("endurance", 1e8);
     // The shared maybeWrite* helpers read these after the run; declare
-    // them now so finishParsing() before the run accepts them.
-    (void)args.has("report");
+    // them now so finishParsing() before the run accepts them (and a
+    // bare --report fails before any cell runs).
+    (void)args.getPath("report", "");
     (void)args.has("spans-folded");
     (void)args.has("spans-top");
     (void)args.has("wd-ledger");
@@ -243,7 +244,7 @@ maybeWriteReport(const ArgParser& args, const std::string& default_path,
                  std::vector<std::pair<std::string, double>> environment =
                      {})
 {
-    const std::string path = args.getString("report", default_path);
+    const std::string path = args.getPath("report", default_path);
     if (path.empty())
         return;
     RunReport report;

@@ -308,9 +308,7 @@ main(int argc, char** argv)
     const std::string epoch_csv_arg = args.getString("epoch-csv", "");
     const std::string epoch_csv_path =
         epoch_csv_arg == "1" ? "" : epoch_csv_arg;
-    const std::string epoch_json_path = args.getString("epoch-json", "");
-    if (epoch_json_path == "1")
-        SDPCM_FATAL("--epoch-json needs a file: --epoch-json=FILE");
+    const std::string epoch_json_path = args.getPath("epoch-json", "");
     const std::string heatmap_kind_name =
         args.getString("heatmap", "writes");
     const unsigned heatmap_bins =
@@ -319,7 +317,7 @@ main(int argc, char** argv)
     const std::string heatmap_csv_arg = args.getString("heatmap-csv", "");
     const bool has_heatmap_pgm = args.has("heatmap-pgm");
     const std::string heatmap_pgm_arg = args.getString("heatmap-pgm", "");
-    const std::string report_path = args.getString("report", "");
+    const std::string report_path = args.getPath("report", "");
 
     const SchemeConfig scheme =
         schemeByName(args.getString("scheme", "lazyc+preread"), args);

@@ -19,10 +19,13 @@ ArgParser::ArgParser(int argc, char** argv)
         }
         arg = arg.substr(2);
         auto eq = arg.find('=');
-        if (eq == std::string::npos)
+        if (eq == std::string::npos) {
             options_[arg] = "1";
-        else
+            bare_.insert(arg);
+        } else {
             options_[arg.substr(0, eq)] = arg.substr(eq + 1);
+            bare_.erase(arg.substr(0, eq));
+        }
     }
 }
 
@@ -44,6 +47,15 @@ ArgParser::getString(const std::string& key,
         return default_value;
     consumed_.insert(key);
     return it->second;
+}
+
+std::string
+ArgParser::getPath(const std::string& key,
+                   const std::string& default_value) const
+{
+    if (bare_.count(key) != 0)
+        SDPCM_FATAL("--", key, " needs a file: --", key, "=FILE");
+    return getString(key, default_value);
 }
 
 std::int64_t

@@ -46,6 +46,15 @@ class ArgParser
     bool getBool(const std::string& key, bool default_value) const;
 
     /**
+     * A file-path option: `default_value` when absent, FILE for
+     * `--key=FILE`. A bare `--key` is a fatal usage error naming the
+     * flag, where getString would return "1" and the caller would write
+     * a file named `1`.
+     */
+    std::string getPath(const std::string& key,
+                        const std::string& default_value) const;
+
+    /**
      * Fatal on any option that was never looked up (unknown or typo'd
      * flag). `--lax-flags` downgrades this to a once-per-parser warning
      * for wrapper scripts that forward surplus options.
@@ -65,6 +74,7 @@ class ArgParser
 
   private:
     std::map<std::string, std::string> options_;
+    std::set<std::string> bare_; //!< keys given as `--key`, no value
     mutable std::set<std::string> consumed_;
 };
 

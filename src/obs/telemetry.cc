@@ -14,8 +14,8 @@ TelemetryConfig
 telemetryFromArgs(const ArgParser& args)
 {
     TelemetryConfig cfg;
-    cfg.path = args.getString("telemetry", "");
-    cfg.promPath = args.getString("telemetry-prom", "");
+    cfg.path = args.getPath("telemetry", "");
+    cfg.promPath = args.getPath("telemetry-prom", "");
     cfg.monitorRules = args.getString("monitor", "");
     cfg.watchdogTicks =
         static_cast<Tick>(args.getInt("watchdog", 0));

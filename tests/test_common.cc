@@ -322,6 +322,25 @@ TEST(ArgParser, ParseBoolStrict)
     EXPECT_THROW(ArgParser::parseBool(""), std::invalid_argument);
 }
 
+TEST(ArgParser, GetPathReturnsTheGivenFile)
+{
+    const char* argv[] = {"prog", "--out=a.json", "--empty=", "--log=1"};
+    ArgParser args(4, const_cast<char**>(argv));
+    EXPECT_EQ(args.getPath("out", "d.json"), "a.json");
+    EXPECT_EQ(args.getPath("empty", "d.json"), "");
+    EXPECT_EQ(args.getPath("log", ""), "1"); // explicitly named `1`
+    EXPECT_EQ(args.getPath("missing", "d.json"), "d.json");
+}
+
+TEST(ArgParserDeath, GetPathFatalsOnBareFlag)
+{
+    const char* argv[] = {"prog", "--report"};
+    ArgParser args(2, const_cast<char**>(argv));
+    EXPECT_EXIT(args.getPath("report", "default.json"),
+                ::testing::ExitedWithCode(1),
+                "--report needs a file: --report=FILE");
+}
+
 TEST(ArgParserDeath, GetIntFatalsOnGarbage)
 {
     const char* argv[] = {"prog", "--refs=10k"};

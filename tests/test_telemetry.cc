@@ -332,6 +332,24 @@ TEST(TelemetryFromArgs, EpochOutputsEnableSamplingAtDefaultInterval)
               5000u);
 }
 
+/** A bare path flag used to stream to a file named `1`. */
+TEST(TelemetryFromArgsDeath, BareTelemetryIsFatal)
+{
+    EXPECT_EQ(parseTelemetry({"--telemetry=t.jsonl"}).path, "t.jsonl");
+    EXPECT_EXIT(parseTelemetry({"--telemetry"}),
+                ::testing::ExitedWithCode(1),
+                "--telemetry needs a file: --telemetry=FILE");
+}
+
+TEST(TelemetryFromArgsDeath, BareTelemetryPromIsFatal)
+{
+    EXPECT_EQ(parseTelemetry({"--telemetry-prom=t.prom"}).promPath,
+              "t.prom");
+    EXPECT_EXIT(parseTelemetry({"--telemetry-prom"}),
+                ::testing::ExitedWithCode(1),
+                "--telemetry-prom needs a file: --telemetry-prom=FILE");
+}
+
 // ---------------------------------------------------------------------
 // Full-System integration
 // ---------------------------------------------------------------------
