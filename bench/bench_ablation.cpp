@@ -43,7 +43,8 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg = configFromArgs(args, 6000);
+    const RunArgs run = parseRunArgs(args, "", 6000);
+    const RunnerConfig& cfg = run.cfg;
     args.finishParsing();
     banner("Ablation studies (write-heavy subset)", cfg);
     const auto workloads = writeHeavy();
@@ -52,15 +53,22 @@ main(int argc, char** argv)
                     "gmean CPI (LazyC)", "baseline/DIN",
                     "avg BL err/adj-line"});
 
+    // Every row run, named after its variant, for the shared outputs.
+    std::vector<SchemeResults> rows;
+    const auto run_row = [&](const SchemeConfig& scheme,
+                             const RunnerConfig& variant,
+                             const std::string& name) {
+        return rows.emplace_back(
+            renamed(runScheme(scheme, workloads, variant),
+                    scheme.name + " / " + name));
+    };
     auto run_variant = [&](const std::string& name,
                            const RunnerConfig& variant) {
         std::fprintf(stderr, "variant %-32s", name.c_str());
-        const auto din = runScheme(SchemeConfig::din8F2(), workloads,
-                                   variant);
-        const auto base = runScheme(SchemeConfig::baselineVnc(),
-                                    workloads, variant);
-        const auto lazy = runScheme(SchemeConfig::lazyC(), workloads,
-                                    variant);
+        const auto din = run_row(SchemeConfig::din8F2(), variant, name);
+        const auto base =
+            run_row(SchemeConfig::baselineVnc(), variant, name);
+        const auto lazy = run_row(SchemeConfig::lazyC(), variant, name);
         std::fprintf(stderr, " done\n");
         RunningStat bl;
         for (const auto& [wname, m] : base.byWorkload)
@@ -95,31 +103,32 @@ main(int argc, char** argv)
     // Scheme-level knobs (ECP update cost, drain watermark).
     std::cout << "\n--- controller knobs (LazyC / baseline) ---\n\n";
     TablePrinter t2({"variant", "gmean CPI", "vs default"});
-    const double lazy_default =
-        gmeanCpi(runScheme(SchemeConfig::lazyC(), workloads, cfg));
+    // The default-model rows (rows[1], rows[2]) are the references.
+    const double lazy_default = gmeanCpi(rows[2]);
     t2.addRow({"LazyC, overlapped ECP update (default)",
                TablePrinter::fmt(lazy_default, 2), "1.000"});
     {
         SchemeConfig s = SchemeConfig::lazyC();
         s.ecpUpdateCycles = 400;
-        const double v = gmeanCpi(runScheme(s, workloads, cfg));
+        const double v =
+            gmeanCpi(run_row(s, cfg, "serialised ECP update"));
         t2.addRow({"LazyC, serialised ECP update (400cyc)",
                    TablePrinter::fmt(v, 2),
                    TablePrinter::fmt(lazy_default / v, 3)});
     }
-    const double base_default =
-        gmeanCpi(runScheme(SchemeConfig::baselineVnc(), workloads, cfg));
+    const double base_default = gmeanCpi(rows[1]);
     t2.addRow({"baseline, 16-write drain bursts (default)",
                TablePrinter::fmt(base_default, 2), "1.000"});
     for (const unsigned burst : {4u, 64u}) {
         SchemeConfig s = SchemeConfig::baselineVnc();
         s.drainBurstWrites = burst;
-        const double v = gmeanCpi(runScheme(s, workloads, cfg));
+        const double v = gmeanCpi(run_row(
+            s, cfg, std::to_string(burst) + "-write drain bursts"));
         t2.addRow({"baseline, " + std::to_string(burst) +
                        "-write drain bursts",
                    TablePrinter::fmt(v, 2),
                    TablePrinter::fmt(base_default / v, 3)});
     }
     t2.print(std::cout);
-    return 0;
+    return finishRun("bench_ablation", cfg, run.out, rows);
 }

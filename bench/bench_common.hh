@@ -1,61 +1,10 @@
 /**
  * @file
- * Shared plumbing for the experiment bench binaries: argument handling,
- * progress reporting and the run-matrix helper.
- *
- * Every bench accepts:
- *   --refs=N   memory references per core (default 10000; the paper uses
- *              10M — raise this for tighter statistics)
- *   --seed=N   RNG seed
- *   --cores=N  cores (default 8, per Table 2)
- *   --jobs=N   concurrent (scheme, workload) runs (default: all host
- *              cores; results are bit-identical for any value)
- *   --report=FILE  write a machine-readable run report (obs/report.hh)
- *              of every (scheme, workload) cell. Each bench has a
- *              default REPORT_<bench>.json path; --report= (empty)
- *              disables the report.
- *   --verify-oracle  run the shadow-memory integrity oracle on every
- *              cell (verify/oracle.hh); checkOracle() fails the bench
- *              if any cell saw a mismatch.
- *   --inject=SPEC  deterministic fault injection, e.g.
- *              --inject=stuck=0.5,ecp=2,wd=0.01,seed=3
- *              (verify/faultinject.hh).
- *   --spans    per-request span attribution on every cell (obs/spans.hh);
- *              span.* metrics land in the report.
- *   --spans-folded=FILE  write the collapsed-stack blame of every cell
- *              (flamegraph format; implies --spans).
- *   --spans-top=N  print each scheme's top-N phases by critical cycles
- *              to stderr (implies --spans).
- *   --telemetry-interval=N  streaming telemetry: poll the metric
- *              registry every N ticks on every cell (obs/telemetry.hh);
- *              telemetry.* metrics land in the report.
- *   --monitor=RULES  ';'-separated SLO monitor rules (obs/monitor.hh
- *              grammar); breach counts land in the report as mon.*
- *              metrics. Implies a default --telemetry-interval.
- *   --watchdog=N  flag a stall when no request retires for N ticks
- *              while work is pending. Implies --telemetry-interval.
- *   --telemetry=FILE / --telemetry-prom=FILE  stream JSONL frames /
- *              dump Prometheus text exposition — single runs only;
- *              matrix benches drop the paths with a warning (rules and
- *              the watchdog still run per cell).
- *   --profile[=FILE]  host-time self-profiler on every cell
- *              (obs/profiler.hh); prof.* metrics land in the report and
- *              the optional FILE gets the merged profile JSON.
- *   --profile-top=N  print each scheme's top-N host phases by exclusive
- *              wall-clock to stderr (implies --profile).
- *   --profile-folded=FILE  write the merged profile as collapsed stacks
- *              (flamegraph format; implies --profile).
- *   --profile-sample=N  time 1 of every N root scope trees (power of
- *              two, default 64; 1 = exact).
- *   --wd-ledger[=FILE]  disturbance-provenance ledger on every cell
- *              (obs/ledger.hh); wd.* metrics land in the report and the
- *              optional FILE gets the aggregated per-scheme JSON export.
- *   --wd-top=N  print each scheme's top-N aggressor lines by victim
- *              flips to stderr (implies --wd-ledger).
- *   --endurance=F  per-cell write endurance used for the projected
- *              lifetime estimate (default 1e8).
- *   --quiet    silence banner and progress lines (LogLevel::Warn).
- *              Monitor breach and watchdog warnings still print.
+ * Shared plumbing for the experiment bench binaries: the banner, the
+ * run-matrix helper with progress lines, and the workload columns.
+ * Flags and outputs go through the run front end (sim/run_args.hh), so
+ * every bench accepts the flags listed in README ("Flags shared by
+ * every tool") and writes every output they ask for.
  */
 
 #ifndef SDPCM_BENCH_COMMON_HH
@@ -63,77 +12,19 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "common/args.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
-#include "obs/profiler.hh"
-#include "obs/report.hh"
 #include "sim/parallel.hh"
+#include "sim/run_args.hh"
 #include "sim/runner.hh"
 
 namespace sdpcm {
 namespace bench {
-
-inline RunnerConfig
-configFromArgs(const ArgParser& args, std::int64_t default_refs = 10000)
-{
-    if (args.getBool("quiet", false))
-        setLogLevel(LogLevel::Warn);
-    RunnerConfig cfg;
-    cfg.refsPerCore =
-        static_cast<std::uint64_t>(args.getInt("refs", default_refs));
-    cfg.seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
-    cfg.cores = static_cast<unsigned>(args.getInt("cores", 8));
-    cfg.jobs = static_cast<unsigned>(args.getInt("jobs", 0));
-    cfg.verifyOracle = args.getBool("verify-oracle", false);
-    cfg.spans = args.getBool("spans", false) ||
-                args.has("spans-folded") || args.has("spans-top");
-    if (args.has("inject")) {
-        // FaultSpec::parse throws on malformed specs; turn that into a
-        // fatal diagnostic instead of an uncaught-exception terminate.
-        try {
-            cfg.faults = FaultSpec::parse(args.getString("inject", ""));
-        } catch (const std::invalid_argument& e) {
-            SDPCM_FATAL("bad --inject spec: ", e.what());
-        }
-    }
-    if (args.has("epoch-csv") || args.has("epoch-json")) {
-        // telemetryFromArgs accepts these for sdpcm_cli; a bench would
-        // silently write nothing.
-        SDPCM_FATAL("--epoch-csv/--epoch-json are sdpcm_cli outputs; "
-                    "benches write no epoch series");
-    }
-    cfg.telemetry = telemetryFromArgs(args);
-    cfg.wdLedger = args.has("wd-ledger") || args.has("wd-top");
-    cfg.profile = args.has("profile") || args.has("profile-top") ||
-                  args.has("profile-folded");
-    const std::int64_t prof_sample = args.getInt(
-        "profile-sample", static_cast<std::int64_t>(cfg.profileSample));
-    if (!validProfileSamplePeriod(prof_sample)) {
-        SDPCM_FATAL("--profile-sample must be a power of two >= 1, got ",
-                    prof_sample);
-    }
-    cfg.profileSample = static_cast<std::uint32_t>(prof_sample);
-    cfg.enduranceCellWrites = args.getDouble("endurance", 1e8);
-    // The shared maybeWrite* helpers read these after the run; declare
-    // them now so finishParsing() before the run accepts them (and a
-    // bare --report fails before any cell runs).
-    (void)args.getPath("report", "");
-    (void)args.has("spans-folded");
-    (void)args.has("spans-top");
-    (void)args.has("wd-ledger");
-    (void)args.has("wd-top");
-    (void)args.has("profile");
-    (void)args.has("profile-top");
-    (void)args.has("profile-folded");
-    return cfg;
-}
 
 inline void
 banner(const std::string& title, const RunnerConfig& cfg)
@@ -162,38 +53,6 @@ banner(const std::string& title, const RunnerConfig& cfg)
         std::cout << "\n";
     }
     std::cout << "\n";
-}
-
-/**
- * When --verify-oracle was on, report per-cell mismatch totals and
- * return the process exit code (1 on any mismatch, else 0). With the
- * oracle off this is a silent no-op returning 0, so benches can
- * unconditionally `return bench::checkOracle(cfg, results);`-combine it
- * with their own exit status.
- */
-inline int
-checkOracle(const RunnerConfig& cfg,
-            const std::vector<SchemeResults>& results)
-{
-    if (!cfg.verifyOracle)
-        return 0;
-    std::uint64_t total = 0;
-    for (const SchemeResults& scheme : results) {
-        for (const auto& [name, metrics] : scheme.byWorkload) {
-            if (metrics.oracle.mismatches == 0)
-                continue;
-            total += metrics.oracle.mismatches;
-            std::cout << "oracle MISMATCH: " << scheme.scheme << " / "
-                      << name << ": " << metrics.oracle.mismatches
-                      << " mismatch(es)\n";
-        }
-    }
-    if (total == 0) {
-        std::cout << "oracle: all cells clean\n";
-        return 0;
-    }
-    std::cout << "oracle: " << total << " mismatch(es) total\n";
-    return 1;
 }
 
 /**
@@ -232,167 +91,16 @@ runMatrix(const std::vector<SchemeConfig>& schemes,
 }
 
 /**
- * Write the run report unless the user passed --report= (empty) to
- * disable it. Every cell of `results` becomes one report run; the
- * optional `environment` pairs carry machine-varying extras (wall-clock
- * seconds) that the regression gate ignores.
+ * Name a scheme's row after the variant that produced it, so rows of
+ * one scheme run under several configs stay apart in the outputs.
  */
-inline void
-maybeWriteReport(const ArgParser& args, const std::string& default_path,
-                 const std::string& bench_name, const RunnerConfig& cfg,
-                 const std::vector<SchemeResults>& results,
-                 std::vector<std::pair<std::string, double>> environment =
-                     {})
+inline SchemeResults
+renamed(SchemeResults results, const std::string& name)
 {
-    const std::string path = args.getPath("report", default_path);
-    if (path.empty())
-        return;
-    RunReport report;
-    report.bench = bench_name;
-    report.config = cfg;
-    report.environment = std::move(environment);
-    for (const SchemeResults& scheme : results) {
-        for (const auto& [name, metrics] : scheme.byWorkload) {
-            (void)name;
-            report.addRun(metrics);
-        }
-    }
-    report.writeFile(path);
-    SDPCM_PROGRESS("report written to ", path);
-}
-
-/**
- * Span-attribution outputs for a finished matrix: collapsed stacks to
- * --spans-folded=FILE (all cells, one file — flamegraph tooling sums
- * identical frames) and a per-scheme top-N blame table on stderr for
- * --spans-top=N. No-op when spans were off.
- */
-inline void
-maybeWriteSpans(const ArgParser& args, const RunnerConfig& cfg,
-                const std::vector<SchemeResults>& results)
-{
-    if (!cfg.spans)
-        return;
-    const std::string folded_path = args.getString("spans-folded", "");
-    const unsigned top_n =
-        static_cast<unsigned>(args.getInt("spans-top", 0));
-    std::ofstream folded;
-    if (!folded_path.empty()) {
-        folded.open(folded_path);
-        SDPCM_ASSERT(folded.good(), "cannot open folded-stack file: ",
-                     folded_path);
-    }
-    for (const SchemeResults& scheme : results) {
-        SpanSummary merged;
-        for (const auto& [name, metrics] : scheme.byWorkload) {
-            (void)name;
-            merged.merge(metrics.spans);
-        }
-        if (folded.is_open())
-            writeFoldedStacks(folded, scheme.scheme, merged);
-        if (top_n > 0)
-            printSpanTop(std::cerr, scheme.scheme, merged, top_n);
-    }
-    if (folded.is_open()) {
-        folded.flush();
-        SDPCM_ASSERT(folded.good(), "error writing folded-stack file: ",
-                     folded_path);
-        std::cout << "folded stacks written to " << folded_path << "\n";
-    }
-}
-
-/**
- * Provenance-ledger outputs for a finished matrix: the per-scheme
- * aggregated ledger JSON to --wd-ledger=FILE (bare --wd-ledger keeps the
- * ledger on without a file) and a per-scheme top-N aggressor table on
- * stderr for --wd-top=N. No-op when the ledger was off.
- */
-inline void
-maybeWriteWdLedger(const ArgParser& args, const std::string& bench_name,
-                   const RunnerConfig& cfg,
-                   const std::vector<SchemeResults>& results)
-{
-    if (!cfg.wdLedger)
-        return;
-    const std::string path = args.getString("wd-ledger", "");
-    const unsigned top_n = static_cast<unsigned>(args.getInt("wd-top", 0));
-    // Merged summaries must outlive the entry pointers handed to the
-    // JSON writer, so collect them first.
-    std::vector<WdLedgerSummary> merged(results.size());
-    std::vector<WdLedgerEntry> entries;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        for (const auto& [name, metrics] : results[i].byWorkload) {
-            (void)name;
-            merged[i].merge(metrics.wd);
-        }
-        entries.push_back({results[i].scheme, "all", &merged[i]});
-        if (top_n > 0)
-            printWdTop(std::cerr, results[i].scheme, merged[i], top_n);
-    }
-    if (path.empty() || path == "1")
-        return;
-    std::ofstream os(path);
-    SDPCM_ASSERT(os.good(), "cannot open wd-ledger file: ", path);
-    writeWdLedgerJson(os, bench_name, entries);
-    os.flush();
-    SDPCM_ASSERT(os.good(), "error writing wd-ledger file: ", path);
-    std::cout << "wd ledger written to " << path << "\n";
-}
-
-/**
- * Host-profile outputs for a finished matrix: per-scheme top-N blame
- * tables on stderr for --profile-top=N, collapsed stacks (one file, all
- * schemes) to --profile-folded=FILE, and the whole-matrix merged profile
- * JSON to --profile=FILE (bare --profile keeps the profiler on without a
- * file; prof.* metrics still land in the report). Summaries are merged
- * in deterministic matrix order, so the tree structure is identical for
- * any --jobs value. No-op when profiling was off.
- */
-inline void
-maybeWriteProfile(const ArgParser& args, const std::string& bench_name,
-                  const RunnerConfig& cfg,
-                  const std::vector<SchemeResults>& results)
-{
-    if (!cfg.profile)
-        return;
-    const std::string json_path = args.getString("profile", "");
-    const std::string folded_path = args.getString("profile-folded", "");
-    const unsigned top_n =
-        static_cast<unsigned>(args.getInt("profile-top", 0));
-    std::ofstream folded;
-    if (!folded_path.empty()) {
-        folded.open(folded_path);
-        SDPCM_ASSERT(folded.good(), "cannot open profile-folded file: ",
-                     folded_path);
-    }
-    ProfSummary all;
-    for (const SchemeResults& scheme : results) {
-        ProfSummary merged;
-        for (const auto& [name, metrics] : scheme.byWorkload) {
-            (void)name;
-            merged.merge(metrics.prof);
-        }
-        all.merge(merged);
-        if (folded.is_open())
-            writeProfileFolded(folded, scheme.scheme, merged);
-        if (top_n > 0)
-            printProfileTop(std::cerr, scheme.scheme, merged, top_n);
-    }
-    if (folded.is_open()) {
-        folded.flush();
-        SDPCM_ASSERT(folded.good(),
-                     "error writing profile-folded file: ", folded_path);
-        std::cout << "profile folded stacks written to " << folded_path
-                  << "\n";
-    }
-    if (json_path.empty() || json_path == "1")
-        return;
-    std::ofstream os(json_path);
-    SDPCM_ASSERT(os.good(), "cannot open profile file: ", json_path);
-    writeProfileJson(os, bench_name, all);
-    os.flush();
-    SDPCM_ASSERT(os.good(), "error writing profile file: ", json_path);
-    std::cout << "profile written to " << json_path << "\n";
+    results.scheme = name;
+    for (auto& [workload, metrics] : results.byWorkload)
+        metrics.scheme = name;
+    return results;
 }
 
 /** Workload-name column order: Table 3 order plus the aggregate. */

@@ -19,7 +19,8 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg = configFromArgs(args);
+    const RunArgs run = parseRunArgs(args, "REPORT_fig11.json");
+    const RunnerConfig& cfg = run.cfg;
     args.finishParsing();
     banner("Figure 11: system performance under different schemes", cfg);
 
@@ -86,9 +87,5 @@ main(int argc, char** argv)
 
     std::cout << "\nShape check: baseline << LazyC < LazyC+PreRead ~ "
                  "LazyC+(2:3) < all-three <= DIN; (1:2) ~ DIN.\n";
-    maybeWriteReport(args, "REPORT_fig11.json", "bench_fig11", cfg,
-                     results);
-    maybeWriteSpans(args, cfg, results);
-    maybeWriteProfile(args, "bench_fig11", cfg, results);
-    return 0;
+    return finishRun("bench_fig11", cfg, run.out, results);
 }

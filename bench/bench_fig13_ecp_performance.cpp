@@ -16,7 +16,8 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg = configFromArgs(args);
+    const RunArgs run = parseRunArgs(args, "REPORT_fig13.json");
+    const RunnerConfig& cfg = run.cfg;
     args.finishParsing();
     banner("Figure 13: ECP entries vs system performance", cfg);
 
@@ -52,9 +53,5 @@ main(int argc, char** argv)
 
     std::cout << "\n(speedup over baseline VnC; paper: +21% at ECP-6, "
                  "flat beyond)\n";
-    maybeWriteReport(args, "REPORT_fig13.json", "bench_fig13", cfg,
-                     results);
-    maybeWriteSpans(args, cfg, results);
-    maybeWriteProfile(args, "bench_fig13", cfg, results);
-    return 0;
+    return finishRun("bench_fig13", cfg, run.out, results);
 }

@@ -18,7 +18,8 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg = configFromArgs(args);
+    const RunArgs run = parseRunArgs(args);
+    const RunnerConfig& cfg = run.cfg;
     args.finishParsing();
     banner("Figure 14: performance across the DIMM lifetime (LazyC)",
            cfg);
@@ -30,12 +31,14 @@ main(int argc, char** argv)
                     "normalised performance", "corrections/write",
                     "hard errors materialised"});
     double fresh_cpi = 0.0;
+    std::vector<SchemeResults> rows;
     for (const double age : ages) {
         RunnerConfig aged = cfg;
         aged.aging.ageFraction = age;
         std::fprintf(stderr, "running age %.0f%%", age * 100.0);
-        const auto res = runScheme(SchemeConfig::lazyC(), workloads,
-                                   aged);
+        const SchemeResults& res = rows.emplace_back(renamed(
+            runScheme(SchemeConfig::lazyC(), workloads, aged),
+            "LazyC age " + TablePrinter::pct(age, 0)));
         std::fprintf(stderr, " done\n");
 
         std::vector<double> cpis;
@@ -59,5 +62,5 @@ main(int argc, char** argv)
     std::cout << "\n(paper: ~0.2% degradation at end of life; hard "
                  "errors consume ECP entries, shrinking LazyC's parking "
                  "space)\n";
-    return 0;
+    return finishRun("bench_fig14", cfg, run.out, rows);
 }

@@ -16,7 +16,8 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg = configFromArgs(args);
+    const RunArgs run = parseRunArgs(args);
+    const RunnerConfig& cfg = run.cfg;
     args.finishParsing();
     banner("Figure 15: write queue size under LazyC+PreRead", cfg);
 
@@ -60,5 +61,5 @@ main(int argc, char** argv)
 
     std::cout << "\n(performance normalised to DIN; paper: 32 entries "
                  "keep LazyC+PreRead within ~10% of DIN)\n";
-    return 0;
+    return finishRun("bench_fig15", cfg, run.out, results);
 }

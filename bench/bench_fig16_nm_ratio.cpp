@@ -19,7 +19,8 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg = configFromArgs(args);
+    const RunArgs run = parseRunArgs(args);
+    const RunnerConfig& cfg = run.cfg;
     args.finishParsing();
     banner("Figure 16: (n:m) allocator ratios", cfg);
 
@@ -64,5 +65,5 @@ main(int argc, char** argv)
 
     std::cout << "\n(performance normalised to DIN; paper: (1:2) shows "
                  "no degradation, monotone from 3:4 to 1:2)\n";
-    return 0;
+    return finishRun("bench_fig16", cfg, run.out, results);
 }

@@ -26,13 +26,14 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg = configFromArgs(args);
+    const RunArgs run = parseRunArgs(args);
+    const RunnerConfig& cfg = run.cfg;
     args.finishParsing();
     banner("Figures 17/18: normalised lifetime (data chips / ECP chip)",
            cfg);
 
-    const auto results =
-        runMatrix({SchemeConfig::lazyC()}, cfg).front();
+    const auto matrix = runMatrix({SchemeConfig::lazyC()}, cfg);
+    const auto& results = matrix.front();
 
     TablePrinter t({"workload", "data-chip lifetime", "ECP-chip lifetime",
                     "ECP/data wear headroom", "wd bits per write"});
@@ -69,5 +70,5 @@ main(int argc, char** argv)
                  "headroom stays above 1x.\n"
                  "Paper reference: data ~99.96%, ECP ~92% (see "
                  "EXPERIMENTS.md for the accounting discussion).\n";
-    return 0;
+    return finishRun("bench_fig17_18", cfg, run.out, matrix);
 }

@@ -18,7 +18,8 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg = configFromArgs(args);
+    const RunArgs run = parseRunArgs(args);
+    const RunnerConfig& cfg = run.cfg;
     args.finishParsing();
     banner("Figure 19: LazyC with write cancellation", cfg);
 
@@ -60,5 +61,5 @@ main(int argc, char** argv)
 
     std::cout << "\n(normalised to basic VnC; paper: VnC 1.0, WC a bit "
                  "above, LazyC ~1.21, WC+LazyC ~1.31)\n";
-    return 0;
+    return finishRun("bench_fig19", cfg, run.out, results);
 }

@@ -20,12 +20,13 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg = configFromArgs(args);
+    const RunArgs run = parseRunArgs(args);
+    const RunnerConfig& cfg = run.cfg;
     args.finishParsing();
     banner("Figure 4: WD errors per line write (diff-write + DIN)", cfg);
 
-    const auto results =
-        runMatrix({SchemeConfig::baselineVnc()}, cfg).front();
+    const auto matrix = runMatrix({SchemeConfig::baselineVnc()}, cfg);
+    const auto& results = matrix.front();
 
     TablePrinter t({"workload", "word-line avg", "word-line max",
                     "adjacent-line avg", "adjacent-line max",
@@ -52,5 +53,5 @@ main(int argc, char** argv)
 
     std::cout << "\nPaper reference: (a) word-line avg ~0.4; (b) up to 9 "
                  "errors in one adjacent 64B line.\n";
-    return 0;
+    return finishRun("bench_fig4", cfg, run.out, matrix);
 }

@@ -21,7 +21,8 @@ int
 main(int argc, char** argv)
 {
     const ArgParser args(argc, argv);
-    const RunnerConfig cfg = configFromArgs(args);
+    const RunArgs run = parseRunArgs(args);
+    const RunnerConfig& cfg = run.cfg;
     args.finishParsing();
     banner("Figure 5: VnC overhead at runtime", cfg);
 
@@ -60,5 +61,5 @@ main(int argc, char** argv)
 
     std::cout << "\n(performance normalised to the WD-free DIN design; "
                  "paper: ~19% verify + ~28% correction = ~47% loss)\n";
-    return 0;
+    return finishRun("bench_fig5", cfg, run.out, results);
 }

@@ -13,27 +13,31 @@
  * the quick-bench CMake target). --full runs the fig11 7-scheme matrix
  * over all 9 Table 3 workloads.
  *
- * A third serial pass runs with span attribution ON, a fourth with
- * streaming telemetry + SLO monitors ON, a fifth with the WD
- * provenance ledger + per-line wear counters ON and a sixth with the
- * host-time self-profiler ON, guarding the observability promises:
- * every pre-existing metric stays bit-identical (spans, telemetry, the
- * ledger and the profiler observe, never perturb), and the
- * everything-off path keeps its speed — pass --baseline=FILE (a
- * previous BENCH_parallel.json of the same run shape: refs_per_core,
- * cores, seed and matrix dimensions must match, or the bench stops
- * before any pass runs) to fail the bench if the observability-off
- * serial wall-clock regressed more than 2%, or if the profiler-on pass
- * costs more than 2% over the same run's profiler-off serial pass.
+ * The passes are one table: a third serial pass runs with span
+ * attribution ON, a fourth with streaming telemetry + SLO monitors ON,
+ * a fifth with the WD provenance ledger + per-line wear counters ON and
+ * a sixth with the host-time self-profiler ON, guarding the
+ * observability promises: every pre-existing metric stays bit-identical
+ * (spans, telemetry, the ledger and the profiler observe, never
+ * perturb), and the everything-off path keeps its speed — pass
+ * --baseline=FILE (a previous BENCH_parallel.json of the same run
+ * shape: refs_per_core, cores, seed and matrix dimensions must match,
+ * or the bench stops before any pass runs) to fail the bench if the
+ * observability-off serial wall-clock regressed more than 2%, or if
+ * the profiler-on pass costs more than 2% over the same run's
+ * profiler-off serial pass. Each pass writes the outputs of the
+ * observer it turns on through the shared finisher.
  */
 
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <thread>
 #include <utility>
 
 #include "bench_common.hh"
+#include "obs/json.hh"
 
 using namespace sdpcm;
 using namespace sdpcm::bench;
@@ -145,13 +149,33 @@ baselineSerialSeconds(const std::string& path, const RunnerConfig& cfg,
     return number("serial_seconds");
 }
 
+/** What a pass's results must match in the serial reference pass. */
+enum class Check
+{
+    Reference,   //!< the serial pass itself
+    Identical,   //!< every metric, and no more
+    ObserveOnly, //!< every reference metric; the pass may add its own
+};
+
+/** One timed pass over the matrix. */
+struct Pass
+{
+    std::string name;
+    /** Turns the everything-off serial config into this pass's. */
+    std::function<void(RunnerConfig&)> mutate;
+    Check check;
+    /** The run report comes from this pass (the widest schema). */
+    bool report = false;
+};
+
 } // namespace
 
 int
 main(int argc, char** argv)
 {
     ArgParser args(argc, argv);
-    RunnerConfig cfg = configFromArgs(args, 2000);
+    const RunArgs run = parseRunArgs(args, "REPORT_wallclock.json", 2000);
+    const RunnerConfig& cfg = run.cfg;
     const bool full = args.has("full");
     const std::string out_path =
         args.getString("out", "BENCH_parallel.json");
@@ -187,136 +211,106 @@ main(int argc, char** argv)
         : baselineSerialSeconds(baseline_path, cfg, schemes.size(),
                                 workloads.size());
 
-    // The harness owns the observability knobs: the first two passes
-    // are the everything-off reference pair regardless of --spans,
-    // --telemetry-*, --wd-ledger, or --profile flags. --profile in
-    // particular must not leak in here: it would put nondeterministic
-    // host-clock prof.* metrics into the reference snapshots, failing
-    // every identical/subset gate, and turn the prof_overhead figure
-    // into a profiler-on vs profiler-on no-op.
-    RunnerConfig serial_cfg = cfg;
-    serial_cfg.jobs = 1;
-    serial_cfg.spans = false;
-    serial_cfg.telemetry = TelemetryConfig{};
-    serial_cfg.wdLedger = false;
-    serial_cfg.profile = false;
-    std::vector<SchemeResults> serial_results;
-    const double serial_s =
-        timedMatrix(schemes, workloads, serial_cfg, serial_results);
+    // The harness owns the observability knobs: every pass starts from
+    // the everything-off serial config regardless of --spans,
+    // --telemetry-*, --wd-ledger or --profile, and turns on only its
+    // own observer. --profile in particular must not leak into the
+    // reference: it would put nondeterministic host-clock prof.*
+    // metrics into the reference snapshots, failing every identity
+    // gate, and turn the profiler's overhead into a no-op comparison.
+    const std::vector<Pass> passes = {
+        {"serial", [](RunnerConfig&) {}, Check::Reference},
+        {"parallel", [&](RunnerConfig& c) { c.jobs = jobs; },
+         Check::Identical},
+        {"spans", [](RunnerConfig& c) { c.spans = true; },
+         Check::ObserveOnly},
+        // Registry polling + windowed sketches + a monitor rule that
+        // never fires, so the whole frame path runs. No stream file:
+        // this times the sampling machinery, not disk I/O.
+        {"telemetry",
+         [](RunnerConfig& c) {
+             c.telemetry.intervalTicks = 100000;
+             c.telemetry.monitorRules =
+                 "p99r:p99(ctrl.readLatency)<=1000000000";
+         },
+         Check::ObserveOnly},
+        // WD provenance plus per-line wear counters (the wear.* metrics
+        // need them). It keeps every shared metric bit-identical and
+        // adds the wd.* / wear.* families, so the report comes from it.
+        {"ledger",
+         [](RunnerConfig& c) {
+             c.wdLedger = true;
+             c.lineCounters = true;
+         },
+         Check::ObserveOnly, true},
+        // The profiler's only observable work is reading the host
+        // clock, so every simulation metric must stay bit-identical.
+        {"profiler", [](RunnerConfig& c) { c.profile = true; },
+         Check::ObserveOnly},
+    };
+    RunnerConfig off = cfg;
+    off.jobs = 1;
+    off.spans = false;
+    off.telemetry = TelemetryConfig{};
+    off.wdLedger = false;
+    off.profile = false;
+    std::vector<RunnerConfig> configs;
+    std::vector<std::vector<SchemeResults>> results;
+    std::vector<double> seconds;
+    for (const Pass& pass : passes) {
+        RunnerConfig& pass_cfg = configs.emplace_back(off);
+        pass.mutate(pass_cfg);
+        seconds.push_back(timedMatrix(schemes, workloads, pass_cfg,
+                                      results.emplace_back()));
+    }
 
-    RunnerConfig parallel_cfg = cfg;
-    parallel_cfg.jobs = jobs;
-    parallel_cfg.spans = false;
-    parallel_cfg.telemetry = TelemetryConfig{};
-    parallel_cfg.wdLedger = false;
-    parallel_cfg.profile = false;
-    std::vector<SchemeResults> parallel_results;
-    const double parallel_s =
-        timedMatrix(schemes, workloads, parallel_cfg, parallel_results);
-
-    RunnerConfig spans_cfg = serial_cfg;
-    spans_cfg.spans = true;
-    std::vector<SchemeResults> spans_results;
-    const double spans_s =
-        timedMatrix(schemes, workloads, spans_cfg, spans_results);
-
-    // Telemetry pass: registry polling + windowed sketches + a monitor
-    // rule that never fires, so the whole frame path runs. No stream
-    // file — this times the sampling machinery, not disk I/O.
-    RunnerConfig telem_cfg = serial_cfg;
-    telem_cfg.telemetry.intervalTicks = 100000;
-    telem_cfg.telemetry.monitorRules =
-        "p99r:p99(ctrl.readLatency)<=1000000000";
-    std::vector<SchemeResults> telem_results;
-    const double telem_s =
-        timedMatrix(schemes, workloads, telem_cfg, telem_results);
-
-    // Ledger pass: WD provenance tracking plus per-line wear counters
-    // (the wear.* metrics need them), so this also times the heatmap
-    // bookkeeping. The superset report comes from this pass — it keeps
-    // every shared metric bit-identical (asserted below) and adds the
-    // wd.* / wear.* families.
-    RunnerConfig ledger_cfg = serial_cfg;
-    ledger_cfg.wdLedger = true;
-    ledger_cfg.lineCounters = true;
-    std::vector<SchemeResults> ledger_results;
-    const double ledger_s =
-        timedMatrix(schemes, workloads, ledger_cfg, ledger_results);
-
-    // Profiler pass: the host-time self-profiler arms every PROF_SCOPE
-    // site (event dispatch, controller stages, device loops). Its only
-    // observable work is reading the host clock, so every simulation
-    // metric must stay bit-identical and the wall-clock cost must stay
-    // inside the noise floor.
-    RunnerConfig prof_cfg = serial_cfg;
-    prof_cfg.profile = true;
-    std::vector<SchemeResults> prof_results;
-    const double prof_s =
-        timedMatrix(schemes, workloads, prof_cfg, prof_results);
-
-    const bool identical =
-        identicalResults(serial_results, parallel_results);
-    if (!identical)
-        SDPCM_WARN("parallel results differ from serial — determinism "
-                   "regression!");
-    const bool spans_clean =
-        subsetIdentical(serial_results, spans_results, "spans-on");
-    if (!spans_clean)
-        SDPCM_WARN("spans-on results differ from spans-off on shared "
-                   "metrics — the recorder perturbed the simulation!");
-    const bool telem_clean =
-        subsetIdentical(serial_results, telem_results, "telemetry-on");
-    if (!telem_clean)
-        SDPCM_WARN("telemetry-on results differ from telemetry-off on "
-                   "shared metrics — the sampler perturbed the "
-                   "simulation!");
-    const bool ledger_clean =
-        subsetIdentical(serial_results, ledger_results, "ledger-on");
-    if (!ledger_clean)
-        SDPCM_WARN("ledger-on results differ from ledger-off on shared "
-                   "metrics — the provenance ledger perturbed the "
-                   "simulation!");
-    const bool prof_clean =
-        subsetIdentical(serial_results, prof_results, "profiler-on");
-    if (!prof_clean)
-        SDPCM_WARN("profiler-on results differ from profiler-off on "
-                   "shared metrics — the profiler perturbed the "
-                   "simulation!");
+    const double serial_s = seconds[0];
+    const double parallel_s = seconds[1];
     const double speedup = parallel_s > 0.0 ? serial_s / parallel_s : 0.0;
-    const double spans_overhead =
-        serial_s > 0.0 ? spans_s / serial_s - 1.0 : 0.0;
-    const double telem_overhead =
-        serial_s > 0.0 ? telem_s / serial_s - 1.0 : 0.0;
-    const double ledger_overhead =
-        serial_s > 0.0 ? ledger_s / serial_s - 1.0 : 0.0;
-    const double prof_overhead =
-        serial_s > 0.0 ? prof_s / serial_s - 1.0 : 0.0;
-
-    std::cout << "serial   : " << TablePrinter::fmt(serial_s, 3) << " s\n"
-              << "parallel : " << TablePrinter::fmt(parallel_s, 3)
-              << " s  (" << jobs << " jobs)\n"
-              << "spans-on : " << TablePrinter::fmt(spans_s, 3)
-              << " s  serial ("
-              << TablePrinter::pct(spans_overhead, 1) << " overhead)\n"
-              << "telem-on : " << TablePrinter::fmt(telem_s, 3)
-              << " s  serial ("
-              << TablePrinter::pct(telem_overhead, 1) << " overhead)\n"
-              << "ledger-on: " << TablePrinter::fmt(ledger_s, 3)
-              << " s  serial ("
-              << TablePrinter::pct(ledger_overhead, 1) << " overhead)\n"
-              << "prof-on  : " << TablePrinter::fmt(prof_s, 3)
-              << " s  serial ("
-              << TablePrinter::pct(prof_overhead, 1) << " overhead)\n"
-              << "speedup  : " << TablePrinter::fmt(speedup, 2) << "x\n"
-              << "identical: " << (identical ? "yes" : "NO") << "\n"
-              << "spans obs-only: " << (spans_clean ? "yes" : "NO")
-              << "\n"
-              << "telemetry obs-only: " << (telem_clean ? "yes" : "NO")
-              << "\n"
-              << "ledger obs-only: " << (ledger_clean ? "yes" : "NO")
-              << "\n"
-              << "profiler obs-only: " << (prof_clean ? "yes" : "NO")
-              << "\n";
+    ReportEnvironment figures;
+    ReportEnvironment gates;
+    bool all_clean = true;
+    for (std::size_t i = 0; i < passes.size(); ++i) {
+        const std::string& name = passes[i].name;
+        const Check check = passes[i].check;
+        const double overhead =
+            serial_s > 0.0 ? seconds[i] / serial_s - 1.0 : 0.0;
+        std::cout << name << ": " << TablePrinter::fmt(seconds[i], 3)
+                  << " s";
+        if (check == Check::Identical)
+            std::cout << "  (" << jobs << " jobs)";
+        if (check == Check::ObserveOnly) {
+            std::cout << "  serial (" << TablePrinter::pct(overhead, 1)
+                      << " overhead)";
+        }
+        std::cout << "\n";
+        figures.emplace_back(name + (check == Check::ObserveOnly
+                                         ? "_serial_seconds"
+                                         : "_seconds"),
+                             seconds[i]);
+        if (check == Check::Reference)
+            continue;
+        const bool clean = check == Check::Identical
+            ? identicalResults(results[0], results[i])
+            : subsetIdentical(results[0], results[i],
+                              (name + "-on").c_str());
+        if (!clean) {
+            SDPCM_WARN(name, " pass differs from the serial reference "
+                       "on shared metrics — ",
+                       check == Check::Identical
+                           ? "determinism regression!"
+                           : "the observer perturbed the simulation!");
+        }
+        all_clean = all_clean && clean;
+        gates.emplace_back(check == Check::Identical
+                               ? "identical"
+                               : name + "_observe_only",
+                           clean ? 1.0 : 0.0);
+    }
+    figures.emplace_back("speedup", speedup);
+    std::cout << "speedup: " << TablePrinter::fmt(speedup, 2) << "x\n";
+    for (const auto& [gate, clean] : gates)
+        std::cout << gate << ": " << (clean != 0.0 ? "yes" : "NO") << "\n";
 
     bool baseline_ok = true;
     if (!baseline_path.empty()) {
@@ -334,6 +328,9 @@ main(int argc, char** argv)
         // Gate the profiler's own cost under the same flag: gating it
         // unconditionally would make every run hostage to wall-clock
         // noise, but a --baseline run has opted into timing assertions.
+        // The profiler pass is the last in the table.
+        const double prof_overhead =
+            serial_s > 0.0 ? seconds.back() / serial_s - 1.0 : 0.0;
         if (prof_overhead > 0.02) {
             baseline_ok = false;
             std::cout << "FAIL: profiler-on pass cost "
@@ -353,60 +350,27 @@ main(int argc, char** argv)
        << "  \"schemes\": " << schemes.size() << ",\n"
        << "  \"workloads\": " << workloads.size() << ",\n"
        << "  \"jobs\": " << jobs << ",\n"
-       << "  \"host_cores\": " << std::thread::hardware_concurrency()
-       << ",\n"
-       << "  \"serial_seconds\": " << serial_s << ",\n"
-       << "  \"parallel_seconds\": " << parallel_s << ",\n"
-       << "  \"spans_serial_seconds\": " << spans_s << ",\n"
-       << "  \"telemetry_serial_seconds\": " << telem_s << ",\n"
-       << "  \"ledger_serial_seconds\": " << ledger_s << ",\n"
-       << "  \"profiler_serial_seconds\": " << prof_s << ",\n"
-       << "  \"speedup\": " << speedup << ",\n"
-       << "  \"identical\": " << (identical ? "true" : "false") << ",\n"
-       << "  \"spans_observe_only\": "
-       << (spans_clean ? "true" : "false") << ",\n"
-       << "  \"telemetry_observe_only\": "
-       << (telem_clean ? "true" : "false") << ",\n"
-       << "  \"ledger_observe_only\": "
-       << (ledger_clean ? "true" : "false") << ",\n"
-       << "  \"profiler_observe_only\": "
-       << (prof_clean ? "true" : "false") << "\n"
-       << "}\n";
+       << "  \"host_cores\": " << std::thread::hardware_concurrency();
+    for (const auto& [key, value] : figures)
+        os << ",\n  \"" << key << "\": " << value;
+    for (const auto& [key, clean] : gates)
+        os << ",\n  \"" << key << "\": " << (clean != 0.0 ? "true" : "false");
+    os << "\n}\n";
     SDPCM_PROGRESS("written to ", out_path);
 
-    maybeWriteSpans(args, spans_cfg, spans_results);
-    maybeWriteWdLedger(args, "bench_wallclock", ledger_cfg,
-                       ledger_results);
-    maybeWriteProfile(args, "bench_wallclock", prof_cfg, prof_results);
-
-    // The ledger-pass results are the reference copy: every shared
-    // metric bit-matches the everything-off serial run (`ledger_clean`)
-    // while the wd.* / wear.* families ride along, so the regression
-    // gate sees the widest schema. ledger_cfg (not the raw cfg) is the
-    // config that produced those runs, so the report's host.profiler
-    // provenance stays truthful even when --profile was passed.
-    // Wall-clock figures go into the gate-ignored environment section.
-    maybeWriteReport(args, "REPORT_wallclock.json", "bench_wallclock",
-                     ledger_cfg, ledger_results,
-                     {{"serial_seconds", serial_s},
-                      {"parallel_seconds", parallel_s},
-                      {"spans_serial_seconds", spans_s},
-                      {"telemetry_serial_seconds", telem_s},
-                      {"ledger_serial_seconds", ledger_s},
-                      {"profiler_serial_seconds", prof_s},
-                      {"speedup", speedup},
-                      {"identical", identical ? 1.0 : 0.0},
-                      {"spans_observe_only", spans_clean ? 1.0 : 0.0},
-                      {"telemetry_observe_only",
-                       telem_clean ? 1.0 : 0.0},
-                      {"ledger_observe_only",
-                       ledger_clean ? 1.0 : 0.0},
-                      {"profiler_observe_only",
-                       prof_clean ? 1.0 : 0.0}});
-    const int oracle_rc = checkOracle(cfg, serial_results);
-    if (!identical || !spans_clean || !telem_clean || !ledger_clean ||
-        !prof_clean || !baseline_ok) {
-        return 1;
+    // Each pass's outputs go through the shared finisher, which writes
+    // only the outputs of the observer that pass turned on; the report
+    // (with the wall-clock figures in its gate-ignored environment)
+    // comes from the ledger pass, whose config produced those runs.
+    figures.insert(figures.end(), gates.begin(), gates.end());
+    int rc = all_clean && baseline_ok ? 0 : 1;
+    for (std::size_t i = 0; i < passes.size(); ++i) {
+        RunOutputs out = run.out;
+        if (!passes[i].report)
+            out.report.clear();
+        rc |= finishRun("bench_wallclock", configs[i], out, results[i],
+                        {}, passes[i].report ? figures
+                                             : ReportEnvironment{});
     }
-    return oracle_rc;
+    return rc;
 }

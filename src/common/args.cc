@@ -58,6 +58,16 @@ ArgParser::getPath(const std::string& key,
     return getString(key, default_value);
 }
 
+std::string
+ArgParser::getOptionalPath(const std::string& key) const
+{
+    if (bare_.count(key) != 0) {
+        consumed_.insert(key);
+        return "";
+    }
+    return getString(key, "");
+}
+
 std::int64_t
 ArgParser::parseInt(const std::string& text)
 {

@@ -55,6 +55,15 @@ class ArgParser
                         const std::string& default_value) const;
 
     /**
+     * An option whose file is optional: a bare `--key` turns a feature
+     * on without an output, `--key=FILE` also names the file. Returns
+     * FILE, or "" when the flag is absent or bare (ask has() which).
+     * The value a bare flag stores is never taken as a path, so
+     * `--key=1` names a file `1`.
+     */
+    std::string getOptionalPath(const std::string& key) const;
+
+    /**
      * Fatal on any option that was never looked up (unknown or typo'd
      * flag). `--lax-flags` downgrades this to a once-per-parser warning
      * for wrapper scripts that forward surplus options.

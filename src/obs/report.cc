@@ -97,16 +97,6 @@ RunReport::write(std::ostream& os) const
     w.endObject();
 }
 
-void
-RunReport::writeFile(const std::string& path) const
-{
-    std::ofstream os(path);
-    SDPCM_ASSERT(os.good(), "cannot open report file: ", path);
-    write(os);
-    os.flush();
-    SDPCM_ASSERT(os.good(), "error writing report file: ", path);
-}
-
 namespace {
 
 double

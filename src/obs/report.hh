@@ -68,7 +68,6 @@ struct RunReport
     void addRun(const RunMetrics& metrics);
 
     void write(std::ostream& os) const;
-    void writeFile(const std::string& path) const;
 };
 
 /** A report parsed back from JSON (consumer/gate side). */

@@ -332,6 +332,21 @@ TEST(ArgParser, GetPathReturnsTheGivenFile)
     EXPECT_EQ(args.getPath("missing", "d.json"), "d.json");
 }
 
+TEST(ArgParser, OptionalPathTellsBareFromOne)
+{
+    const char* argv[] = {"prog", "--spans", "--wd-ledger=1",
+                          "--profile=p.json", "--epoch-csv="};
+    ArgParser args(5, const_cast<char**>(argv));
+    EXPECT_EQ(args.getOptionalPath("spans"), ""); // on, no file
+    EXPECT_EQ(args.getOptionalPath("wd-ledger"), "1"); // a file `1`
+    EXPECT_EQ(args.getOptionalPath("profile"), "p.json");
+    EXPECT_EQ(args.getOptionalPath("epoch-csv"), "");
+    EXPECT_EQ(args.getOptionalPath("missing"), "");
+    EXPECT_TRUE(args.has("spans"));
+    EXPECT_FALSE(args.has("missing"));
+    args.finishParsing(); // every given flag counts as read
+}
+
 TEST(ArgParserDeath, GetPathFatalsOnBareFlag)
 {
     const char* argv[] = {"prog", "--report"};
