@@ -146,6 +146,99 @@ TEST(WdLedgerUnit, OutcomeClassesAndTelescoping)
     EXPECT_EQ(s.blame.at(agg_key).fromCorrection, 1u);
 }
 
+TEST(WdLedgerUnit, RepeatedFlipsOfOneCellResolveInListOrder)
+{
+    // One victim cell can hold several pending flips: a cancelled
+    // attempt's RESET round re-programs the cell without a commit, so
+    // nothing resolves the earlier flip before a neighbour flips it
+    // again. A fix resolves the first pending match in the victim's
+    // list, and the list's last flip takes the resolved flip's place,
+    // so the order is A, then C, then B. The summary must not depend
+    // on how the pending store is laid out.
+    EventQueue events;
+    DimmGeometry geom;
+    WdLedger led(events, geom);
+    const auto advance_to = [&events](Tick t) {
+        events.schedule(t, [] {});
+        events.run();
+    };
+
+    const LineAddr victim{2, 40, 5};
+    const LineAddr agg_a{2, 40, 4};
+    const LineAddr agg_b{2, 40, 6};
+    const LineAddr agg_c{2, 39, 5};
+    const LineAddr agg_d{2, 41, 5};
+    const auto key = [&geom](const LineAddr& la) {
+        return (std::uint64_t(la.bank) << 48) |
+               (la.row * geom.linesPerRow() + la.line);
+    };
+
+    led.beginOp(0, 0);
+    advance_to(5);
+    led.recordFlip(agg_d, false, victim, 9, false); // another cell
+    advance_to(10);
+    led.recordFlip(agg_a, false, victim, 7, true);
+    advance_to(20);
+    led.recordFlip(agg_b, false, victim, 7, true);
+    advance_to(30);
+    led.recordFlip(agg_c, false, victim, 7, false);
+    EXPECT_EQ(led.outstanding(), 4u);
+
+    const auto corrected = [&](const WdLedgerSummary& s,
+                               const LineAddr& agg) {
+        return s.blame.at(key(agg)).outcomes[idx(WdOutcome::Corrected)];
+    };
+
+    advance_to(100);
+    led.flipCorrected(victim, 7);
+    WdLedgerSummary s = led.summarize();
+    EXPECT_EQ(corrected(s, agg_a), 1u);
+    EXPECT_EQ(corrected(s, agg_b), 0u);
+    EXPECT_EQ(corrected(s, agg_c), 0u);
+    EXPECT_EQ(s.correctLatency.count(), 1u);
+    EXPECT_DOUBLE_EQ(s.correctLatency.sum(), 90.0);
+    EXPECT_EQ(led.outstanding(), 3u);
+
+    advance_to(200);
+    led.flipCorrected(victim, 7);
+    s = led.summarize();
+    EXPECT_EQ(corrected(s, agg_b), 0u);
+    EXPECT_EQ(corrected(s, agg_c), 1u);
+    EXPECT_DOUBLE_EQ(s.correctLatency.sum(), 90.0 + 170.0);
+    EXPECT_EQ(led.outstanding(), 2u);
+
+    advance_to(300);
+    led.flipCorrected(victim, 7);
+    s = led.summarize();
+    EXPECT_EQ(corrected(s, agg_b), 1u);
+    EXPECT_EQ(s.correctLatency.count(), 3u);
+    EXPECT_DOUBLE_EQ(s.correctLatency.sum(), 90.0 + 170.0 + 280.0);
+    EXPECT_DOUBLE_EQ(s.correctLatency.min(), 90.0);
+    EXPECT_DOUBLE_EQ(s.correctLatency.max(), 280.0);
+    EXPECT_EQ(led.outstanding(), 1u);
+
+    // A fourth fix of the cell finds nothing pending: a late fix.
+    led.flipCorrected(victim, 7);
+    EXPECT_EQ(led.lateFixCount(WdOutcome::Corrected), 1u);
+    EXPECT_EQ(led.outstanding(), 1u);
+
+    // The flip on the other cell is still pending and ends overwritten.
+    advance_to(400);
+    led.noteLineWritten(victim);
+    EXPECT_EQ(led.outstanding(), 0u);
+    s = led.summarize();
+    EXPECT_EQ(s.blame.at(key(agg_d)).outcomes[idx(WdOutcome::Overwritten)],
+              1u);
+    EXPECT_EQ(s.outcomes[idx(WdOutcome::Corrected)], 3u);
+    EXPECT_EQ(s.outcomes[idx(WdOutcome::Overwritten)], 1u);
+    EXPECT_EQ(s.outstanding, 0u);
+    EXPECT_EQ(s.outcomeTotal(), s.flips());
+
+    // A later write of the line finds nothing left to overwrite.
+    led.noteLineWritten(victim);
+    EXPECT_EQ(led.summarize().outcomes[idx(WdOutcome::Overwritten)], 1u);
+}
+
 TEST(WdLedgerUnit, SummaryMergeAddsEverything)
 {
     EventQueue events;
