@@ -85,6 +85,28 @@ class AddressMap
     }
 
     /**
+     * DIMM-wide line index: (bank * rowsPerBank + row) * linesPerRow +
+     * line. It fits 32 bits for any geometry a PcmDevice accepts.
+     */
+    std::uint32_t
+    lineIndex(const LineAddr& la) const
+    {
+        return static_cast<std::uint32_t>(
+            (la.bank * geom_.rowsPerBank + la.row) * geom_.linesPerRow() +
+            la.line);
+    }
+
+    /** The line location of a DIMM-wide line index (see lineIndex). */
+    LineAddr
+    lineAt(std::uint32_t index) const
+    {
+        const std::uint64_t bank_row = index / geom_.linesPerRow();
+        return LineAddr{static_cast<unsigned>(bank_row / geom_.rowsPerBank),
+                        bank_row % geom_.rowsPerBank,
+                        static_cast<unsigned>(index % geom_.linesPerRow())};
+    }
+
+    /**
      * Strip index of a row. Rows with equal index across all banks hold
      * 16 consecutive page frames; the strip index equals the row index.
      */

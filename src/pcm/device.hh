@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/line_index.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "obs/profiler.hh"
@@ -426,15 +427,8 @@ class PcmDevice
     /** Row-local key: row * linesPerRow + line (content seed). */
     std::uint64_t lineKey(const LineAddr& addr) const;
 
-    /** DIMM-wide line index: (bank * rowsPerBank + row) * linesPerRow
-     *  + line; the geometry is asserted to fit 32 bits. */
-    std::uint32_t lineIndex(const LineAddr& addr) const;
-
     /** Build a first-touched line's state (may draw from rng_). */
     void materialise(LineState& ls, const LineAddr& addr);
-
-    /** Double the index and re-insert every line (states stay put). */
-    void growIndex();
 
     LineState&
     poolAt(std::uint32_t i) const
@@ -483,8 +477,14 @@ class PcmDevice
     LineCounters&
     countersOf(const LineState& ls) const
     {
-        return counters_[ls.pos >> kPoolChunkShift]
-                        [ls.pos & (kPoolChunkLines - 1)];
+        return countersAt(ls.pos);
+    }
+
+    /** The side counters of the line at pool position `pos`. */
+    LineCounters&
+    countersAt(std::uint32_t pos) const
+    {
+        return counters_[pos >> kPoolChunkShift][pos & (kPoolChunkLines - 1)];
     }
 
     /** Inject WD for one applied RESET of the plan's line at `pos`;
@@ -515,25 +515,15 @@ class PcmDevice
 
     // --- Sparse line store. LineStates live in fixed-size chunks that
     // never move, so a LineState* (a plan handle) stays valid for the
-    // device's lifetime. One open-addressing index (linear probing,
-    // load <= 1/2) maps DIMM-wide line indices to pool positions. Cold
-    // records live in a second chunked pool of their own; side counters
-    // in chunks parallel to the line pool (DESIGN §7.1).
-
-    /** 8-byte index slot; `line == kNoLine` marks an empty slot. */
-    struct IndexSlot
-    {
-        std::uint32_t line;
-        std::uint32_t pool;
-    };
-    static constexpr std::uint32_t kNoLine = 0xffffffffu;
+    // device's lifetime. One open-addressing index (common/line_index.hh)
+    // maps DIMM-wide line indices to pool positions. Cold records live
+    // in a second chunked pool of their own; side counters in chunks
+    // parallel to the line pool (DESIGN §7.1).
     static constexpr unsigned kPoolChunkShift = 8;
     static constexpr std::uint32_t kPoolChunkLines = 1u << kPoolChunkShift;
 
-    std::vector<IndexSlot> index_;
-    unsigned indexShift_ = 0; //!< 64 - log2(index_.size())
+    LineIndex index_; //!< line index -> pool position
     std::vector<std::unique_ptr<LineState[]>> pool_;
-    std::uint32_t lineCount_ = 0;
     std::vector<std::unique_ptr<ColdLine[]>> cold_;
     std::uint32_t coldCount_ = 0;
     /** Per-line counters, chunk for chunk with pool_; empty unless

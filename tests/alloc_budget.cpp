@@ -12,12 +12,18 @@
  * processed, allocations made), and that window must stay within
  * kMaxAllocsPerEvent heap allocations per processed event.
  *
+ * `alloc_budget ledger` measures the same replay with the WD ledger
+ * and per-line counters on (perfbench's `ledger` observer set): the
+ * ledger's pending-flip slab, line index and blame table must reach
+ * their working size in the first pass as well.
+ *
  * Exits 0 within budget, 1 over it (with the measured rate).
  */
 
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <vector>
@@ -130,14 +136,17 @@ struct Sample
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
     using namespace sdpcm;
+    const bool ledger = argc > 1 && std::strcmp(argv[1], "ledger") == 0;
     SystemConfig cfg;
     cfg.scheme = SchemeConfig::sdpcm();
     cfg.cores = kCores;
     cfg.refsPerCore = 2 * kRefsPerPass;
     cfg.seed = 3;
+    cfg.wdLedger = ledger;
+    cfg.lineCounters = ledger;
     const WorkloadSpec mcf = workloadFromProfile("mcf");
     WorkloadSpec replay;
     replay.name = "mcf-replay";
@@ -169,9 +178,10 @@ main()
     const double n_events = static_cast<double>(to.events - from.events);
     const double n_allocs = static_cast<double>(to.allocs - from.allocs);
     const double rate = n_events > 0 ? n_allocs / n_events : 0.0;
-    std::printf("alloc_budget: %.0f allocations over %.0f events "
+    std::printf("alloc_budget%s: %.0f allocations over %.0f events "
                 "(%.4f per event, budget %.2f)\n",
-                n_allocs, n_events, rate, kMaxAllocsPerEvent);
+                ledger ? " (ledger)" : "", n_allocs, n_events, rate,
+                kMaxAllocsPerEvent);
     if (n_events <= 0 || rate > kMaxAllocsPerEvent) {
         std::fprintf(stderr, "alloc_budget: over budget\n");
         return 1;
