@@ -176,8 +176,8 @@ TelemetrySampler::TelemetrySampler(EventQueue& events,
 
     if (!cfg_.path.empty()) {
         stream_.open(cfg_.path);
-        SDPCM_ASSERT(stream_.good(), "cannot open telemetry file: ",
-                     cfg_.path);
+        if (!stream_)
+            SDPCM_FATAL("cannot open telemetry file: ", cfg_.path);
     }
     if (!cfg_.monitorRules.empty()) {
         monitors_ = std::make_unique<MonitorSet>(
@@ -547,8 +547,8 @@ TelemetrySampler::writePromFile()
     if (cfg_.promPath.empty())
         return;
     std::ofstream os(cfg_.promPath);
-    SDPCM_ASSERT(os.good(), "cannot open prometheus file: ",
-                 cfg_.promPath);
+    if (!os)
+        SDPCM_FATAL("cannot open prometheus file: ", cfg_.promPath);
     const std::string labels = "{scheme=\"" + promLabelValue(scheme_) +
                                "\",workload=\"" +
                                promLabelValue(workload_) + "\"}";
