@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the common utilities: RNG, bit operations, statistics
- * accumulators and the table formatter.
+ * Unit tests for the common utilities: RNG, bit operations, the line
+ * index, statistics accumulators and the table formatter.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 
 #include "common/args.hh"
 #include "common/bitops.hh"
+#include "common/line_index.hh"
 #include "common/ring_queue.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -160,6 +161,45 @@ TEST(Bitops, Popcount64MatchesStdPopcount)
         else if (i % 3 == 2)
             x |= rng.next64() | rng.next64();
         ASSERT_EQ(popcount64(x), std::popcount(x)) << std::hex << x;
+    }
+}
+
+// Keys clustered the way the device and the WD ledger produce them:
+// runs of 8 consecutive line indices (a written line and its in-row
+// neighbours), keys 64 apart (the same line in adjacent rows) and keys
+// that share their low 3 bits. 12k keys take the index through five
+// doublings of its initial 1024 slots.
+TEST(LineIndex, ClusteredKeysSurviveGrowth)
+{
+    std::vector<std::uint32_t> keys;
+    for (std::uint32_t run = 0; run < 500; ++run) {
+        for (std::uint32_t k = 0; k < 8; ++k)
+            keys.push_back(run * 4096 + k);
+    }
+    for (std::uint32_t i = 0; i < 4000; ++i)
+        keys.push_back(0x4000000u + i * 64);
+    for (std::uint32_t i = 0; i < 4000; ++i)
+        keys.push_back(0x8000005u + i * 8);
+
+    LineIndex index;
+    for (std::uint32_t i = 0; i < keys.size(); ++i) {
+        ASSERT_EQ(index.find(keys[i]), LineIndex::kNone) << keys[i];
+        ASSERT_EQ(index.findOrInsert(keys[i], [&] { return i; }), i);
+        ASSERT_EQ(index.findOrInsert(keys[i], [] { return 0u; }), i);
+        ASSERT_EQ(index.size(), i + 1);
+    }
+    for (std::uint32_t i = 0; i < keys.size(); ++i)
+        ASSERT_EQ(index.find(keys[i]), i) << keys[i];
+    EXPECT_EQ(index.find(7u * 4096 + 8), LineIndex::kNone);
+    EXPECT_EQ(index.find(0x4000000u + 65), LineIndex::kNone);
+
+    const std::vector<LineIndex::Slot> sorted = index.sortedSlots();
+    ASSERT_EQ(sorted.size(), keys.size());
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+        if (i > 0) {
+            ASSERT_LT(sorted[i - 1].key, sorted[i].key);
+        }
+        ASSERT_EQ(keys[sorted[i].value], sorted[i].key);
     }
 }
 
