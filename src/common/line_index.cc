@@ -1,31 +1,35 @@
 #include "common/line_index.hh"
 
+#include <bit>
 #include <utility>
 
 namespace sdpcm {
 
-std::vector<LineIndex::Slot>
-LineIndex::sortedSlots() const
+template <typename Word>
+std::vector<typename FlatIndex<Word>::Slot>
+FlatIndex<Word>::sortedSlots() const
 {
     // Branch-free gather: every slot is written, an empty one is
     // overwritten by the next stored slot (or the spare last entry).
     std::vector<Slot> out(std::size_t(count_) + 1);
     std::size_t n = 0;
-    for (const Slot& s : slots_) {
-        out[n] = s;
-        n += s.key != kNone;
+    for (const Run& run : runs_) {
+        for (const Slot& s : run.slots) {
+            out[n] = s;
+            n += s.key != kNone;
+        }
     }
     out.pop_back();
-    // Three stable counting passes over 11 key bits each.
+    // Stable counting passes over 11 key bits each.
     constexpr unsigned kDigitBits = 11;
-    constexpr std::uint32_t kDigitMask = (1u << kDigitBits) - 1;
+    constexpr Word kDigitMask = (Word(1) << kDigitBits) - 1;
     std::vector<Slot> tmp(out.size());
-    for (unsigned shift = 0; shift < 32; shift += kDigitBits) {
-        std::uint32_t start[kDigitMask + 1] = {};
+    for (unsigned shift = 0; shift < 8 * sizeof(Word); shift += kDigitBits) {
+        std::size_t start[kDigitMask + 1] = {};
         for (const Slot& s : out)
             start[(s.key >> shift) & kDigitMask] += 1;
-        std::uint32_t sum = 0;
-        for (std::uint32_t& count : start)
+        std::size_t sum = 0;
+        for (std::size_t& count : start)
             sum += std::exchange(count, sum);
         for (const Slot& s : out)
             tmp[start[(s.key >> shift) & kDigitMask]++] = s;
@@ -34,21 +38,29 @@ LineIndex::sortedSlots() const
     return out;
 }
 
+template <typename Word>
 void
-LineIndex::grow()
+FlatIndex<Word>::grow()
 {
-    std::vector<Slot> old(slots_.size() * 2, Slot{kNone, 0});
-    old.swap(slots_);
-    shift_ -= 1;
-    const std::size_t mask = slots_.size() - 1;
-    for (const Slot& s : old) {
-        if (s.key == kNone)
-            continue;
-        std::size_t i = hash(s.key);
-        while (slots_[i].key != kNone)
-            i = (i + 1) & mask;
-        slots_[i] = s;
+    std::vector<Run> old(runs_.empty()
+                             ? std::size_t(1) << (kInitialBits - kRunBits)
+                             : runs_.size() * 2);
+    old.swap(runs_);
+    shift_ = 64 - std::countr_zero(runs_.size());
+    const std::size_t mask = slotCount() - 1;
+    for (const Run& run : old) {
+        for (const Slot& s : run.slots) {
+            if (s.key == kNone)
+                continue;
+            std::size_t i = hash(s.key);
+            while (at(i).key != kNone)
+                i = (i + 1) & mask;
+            at(i) = s;
+        }
     }
 }
+
+template class FlatIndex<std::uint32_t>;
+template class FlatIndex<std::uint64_t>;
 
 } // namespace sdpcm

@@ -70,6 +70,15 @@ Tlb::hitInstalled(std::uint64_t vpage)
     hits_ += 1;
 }
 
+void
+Tlb::clear()
+{
+    vpages_.clear();
+    frames_.clear();
+    lastUse_.clear();
+    missClock_ = ~std::uint64_t(0);
+}
+
 Mmu::Mmu(PageAllocatorSystem& allocator, const NmRatio& tag,
          unsigned page_bytes, unsigned tlb_entries)
     : allocator_(allocator),
@@ -94,21 +103,16 @@ Mmu::translate(std::uint64_t vaddr)
         return tr;
     }
 
-    auto it = table_.find(vpage);
-    std::uint64_t frame;
-    if (it != table_.end()) {
-        frame = it->second;
-    } else {
+    const std::uint64_t frame = table_.findOrInsert(vpage, [&] {
         auto allocated = allocator_.allocatePage(tag_);
         if (!allocated) {
             SDPCM_FATAL("out of physical memory under allocator ",
                         tag_.toString());
         }
-        frame = *allocated;
-        table_[vpage] = frame;
         pageFaults_ += 1;
         tr.pageFault = true;
-    }
+        return *allocated;
+    });
     tlb_.insert(vpage, frame);
     tr.paddr = frame * pageBytes_ + offset;
     return tr;
@@ -117,9 +121,11 @@ Mmu::translate(std::uint64_t vaddr)
 void
 Mmu::releaseAll()
 {
-    for (const auto& [vpage, frame] : table_)
-        allocator_.free(tag_, FrameBlock{frame, 0});
-    table_.clear();
+    for (const PageIndex::Slot& s : table_.sortedSlots())
+        allocator_.free(tag_, FrameBlock{s.value, 0});
+    table_ = PageIndex{};
+    // The TLB must not keep translating to the freed frames.
+    tlb_.clear();
 }
 
 } // namespace sdpcm

@@ -16,9 +16,9 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/line_index.hh"
 #include "os/buddy.hh"
 #include "os/nm_policy.hh"
 #include "pcm/address.hh"
@@ -56,6 +56,9 @@ class Tlb
      * a search. Its LRU stamp stays: it is already the newest.
      */
     void hitInstalled(std::uint64_t vpage);
+
+    /** Drop every entry (the mapped frames were released). */
+    void clear();
 
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
@@ -121,7 +124,7 @@ class Mmu
     NmRatio tag_;
     unsigned pageBytes_;
     Tlb tlb_;
-    std::unordered_map<std::uint64_t, std::uint64_t> table_;
+    PageIndex table_; //!< vpage -> frame; allocated at the first fault
     std::uint64_t pageFaults_ = 0;
 };
 
