@@ -78,10 +78,19 @@ struct LineData
     randomFromKey(std::uint64_t key)
     {
         LineData line;
-        std::uint64_t state = key ^ 0x9e3779b97f4a7c15ULL;
-        for (auto& word : line.words)
-            word = splitmix64(state);
+        for (unsigned w = 0; w < kLineWords; ++w)
+            line.words[w] = randomWordFromKey(key, w);
         return line;
+    }
+
+    /** Word `w` of randomFromKey(key), computed on its own. */
+    static std::uint64_t
+    randomWordFromKey(std::uint64_t key, unsigned w)
+    {
+        // The w-th step of a splitmix64 stream seeded with key ^ golden.
+        std::uint64_t state = (key ^ 0x9e3779b97f4a7c15ULL) +
+                              w * 0x9e3779b97f4a7c15ULL;
+        return splitmix64(state);
     }
 
     /** All-zero (fully amorphous) line. */

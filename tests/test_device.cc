@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
+#include "common/rng.hh"
 #include "pcm/device.hh"
+#include "verify/faultinject.hh"
 
 namespace sdpcm {
 namespace {
@@ -333,14 +336,281 @@ TEST(Device, Figure4StatsAccumulate)
     EXPECT_GT(dev.stats().blDisturbances, 0u);
 }
 
-TEST(Device, TouchedLinesTracksMaterialisation)
+// --- The line store materialises a line at its first change (DESIGN
+// §7.1). While never-changed content is a pure function of the address
+// (no aging draws, no injector, no line counters) read-only uses leave
+// the store alone; otherwise every access materialises, as before.
+
+TEST(Device, LazyStoreReadOnlyUsesMaterialiseNothing)
 {
     PcmDevice dev(quietConfig());
+    const LineAddr la{2, 40, 9};
+    const LineData content = dev.peekLine(la);
+    EXPECT_EQ(dev.readLine(la), content);
+    EXPECT_TRUE(dev.verifyLine(la, content).empty());
+    std::vector<unsigned> cells{1, 2};
+    dev.verifyLineInto(la, LineData{}, cells);
+    EXPECT_EQ(cells.size(), content.diff(LineData{}).popcount());
+    EXPECT_EQ(dev.ecpUsed(la), 0u);
+    EXPECT_EQ(dev.ecpFree(la), dev.config().ecpEntries);
+    EXPECT_TRUE(dev.ecpWdCells(la).empty());
+    dev.ecpWdCellsInto(la, cells);
+    EXPECT_TRUE(cells.empty());
+    EXPECT_EQ(dev.uncorrectableMask(la), LineData{});
+    EXPECT_TRUE(dev.recordWdInEcp(la, {}));
     EXPECT_EQ(dev.touchedLines(), 0u);
-    dev.readLine(LineAddr{0, 0, 0});
-    dev.readLine(LineAddr{0, 0, 0});
-    dev.readLine(LineAddr{1, 0, 0});
-    EXPECT_EQ(dev.touchedLines(), 2u);
+    EXPECT_EQ(dev.stats().lineReads, 3u);
+}
+
+TEST(Device, LazyStoreNeighbourProbesReadWithoutMaterialising)
+{
+    // Find a line with a '1' cell at the end of a word whose right-hand
+    // (word-line) and upper/lower (bit-line) neighbour cells are all '1'
+    // too: RESETting it probes three absent lines, none vulnerable.
+    DeviceConfig dc = quietConfig();
+    dc.dinEnabled = false; // physical content == logical content
+    dc.rates = WdRates{1.0, 1.0};
+    PcmDevice dev(dc);
+    LineAddr la{1, 50, 0};
+    unsigned pos = kLineBits;
+    for (; la.line + 1 < dev.config().geometry.linesPerRow(); ++la.line) {
+        const LineData self = dev.peekLine(la);
+        const LineData right = dev.peekLine({la.bank, la.row, la.line + 1});
+        const LineData up = dev.peekLine({la.bank, la.row - 1, la.line});
+        const LineData down = dev.peekLine({la.bank, la.row + 1, la.line});
+        for (unsigned w = 0; w < kLineWords && pos == kLineBits; ++w) {
+            const unsigned p = w * 64 + 63;
+            if (self.getBit(p) && right.getBit(w * 64) && up.getBit(p) &&
+                down.getBit(p)) {
+                pos = p;
+            }
+        }
+        if (pos != kLineBits)
+            break;
+    }
+    ASSERT_LT(pos, kLineBits);
+    ASSERT_EQ(dev.touchedLines(), 0u);
+    LineData target = dev.peekLine(la);
+    target.setBit(pos, false);
+    auto plan = dev.planWrite(la, target);
+    runPlan(dev, plan);
+    EXPECT_EQ(dev.stats().blDisturbances, 0u);
+    EXPECT_EQ(dev.touchedLines(), 1u);
+    EXPECT_EQ(dev.readLine(la), target);
+}
+
+TEST(Device, LazyStoreMaterialisesAtFirstChange)
+{
+    DeviceConfig dc = quietConfig();
+    dc.dinEnabled = false;
+    {
+        PcmDevice dev(dc); // a write plan
+        dev.planWrite({0, 3, 3}, LineData{});
+        EXPECT_EQ(dev.touchedLines(), 1u);
+    }
+    {
+        PcmDevice dev(dc); // a correction plan
+        dev.planCorrection({0, 3, 3}, {5, 6});
+        EXPECT_EQ(dev.touchedLines(), 1u);
+    }
+    {
+        PcmDevice dev(dc); // ECP parking with cells
+        EXPECT_TRUE(dev.recordWdInEcp({0, 3, 3}, {5, 6}));
+        EXPECT_EQ(dev.touchedLines(), 1u);
+        EXPECT_EQ(dev.ecpUsed({0, 3, 3}), 2u);
+    }
+    {
+        // Neighbour flips: a bit-line rate of 1 flips every vulnerable
+        // cell above and below the RESETs of an all-zero write.
+        dc.rates = WdRates{0.0, 1.0};
+        PcmDevice dev(dc);
+        auto plan = dev.planWrite({0, 3, 3}, LineData{});
+        runPlan(dev, plan);
+        EXPECT_GT(plan.blHitsUpper, 0u);
+        EXPECT_GT(plan.blHitsLower, 0u);
+        EXPECT_EQ(dev.touchedLines(), 3u);
+    }
+}
+
+TEST(Device, EagerStoreMaterialisesOnRead)
+{
+    FaultInjector inject(FaultSpec{0.0, 0, 0.01, 3});
+    for (int eager = 0; eager < 3; ++eager) {
+        DeviceConfig dc = quietConfig();
+        if (eager == 0)
+            dc.aging.ageFraction = 0.5; // aging draws per line
+        if (eager == 2)
+            dc.lineCounters = true;
+        PcmDevice dev(dc);
+        if (eager == 1)
+            dev.setFaultInjector(&inject);
+        EXPECT_EQ(dev.touchedLines(), 0u);
+        dev.readLine(LineAddr{0, 0, 0});
+        dev.readLine(LineAddr{0, 0, 0});
+        dev.readLine(LineAddr{1, 0, 0});
+        EXPECT_EQ(dev.touchedLines(), 2u) << "eager condition " << eager;
+    }
+}
+
+/** Every DeviceStats field of `a` equals `b`'s. */
+void
+expectSameStats(const DeviceStats& a, const DeviceStats& b)
+{
+    EXPECT_EQ(a.lineReads, b.lineReads);
+    EXPECT_EQ(a.lineWrites, b.lineWrites);
+    EXPECT_EQ(a.correctionWrites, b.correctionWrites);
+    EXPECT_EQ(a.dataCellWrites, b.dataCellWrites);
+    EXPECT_EQ(a.normalCellWrites, b.normalCellWrites);
+    EXPECT_EQ(a.correctionCellWrites, b.correctionCellWrites);
+    EXPECT_EQ(a.wlDisturbances, b.wlDisturbances);
+    EXPECT_EQ(a.blDisturbances, b.blDisturbances);
+    EXPECT_EQ(a.ecpWdRecorded, b.ecpWdRecorded);
+    EXPECT_EQ(a.ecpOverflows, b.ecpOverflows);
+    EXPECT_EQ(a.ecpBitsWritten, b.ecpBitsWritten);
+    EXPECT_EQ(a.ecpWdReleased, b.ecpWdReleased);
+    EXPECT_EQ(a.hardErrors, b.hardErrors);
+    EXPECT_EQ(a.ecpSaturatedLines, b.ecpSaturatedLines);
+    EXPECT_EQ(a.injectedStuckCells, b.injectedStuckCells);
+    EXPECT_EQ(a.wlErrorsPerWrite.count(), b.wlErrorsPerWrite.count());
+    EXPECT_EQ(a.wlErrorsPerWrite.sum(), b.wlErrorsPerWrite.sum());
+    EXPECT_EQ(a.blErrorsPerAdjacentLine.count(),
+              b.blErrorsPerAdjacentLine.count());
+    EXPECT_EQ(a.blErrorsPerAdjacentLine.sum(),
+              b.blErrorsPerAdjacentLine.sum());
+    ASSERT_EQ(a.blErrorHistogram.numBuckets(),
+              b.blErrorHistogram.numBuckets());
+    for (std::size_t v = 0; v < a.blErrorHistogram.numBuckets(); ++v)
+        EXPECT_EQ(a.blErrorHistogram.bucket(v), b.blErrorHistogram.bucket(v));
+    EXPECT_EQ(a.blErrorHistogram.overflow(), b.blErrorHistogram.overflow());
+}
+
+// One seeded op stream into an eager store (line counters on) and a lazy
+// one: reads, full writes, cancelled writes with their WL repair,
+// corrections, verifies and ECP parking over a 2-bank x 16-row x 16-line
+// patch, so neighbour probes keep landing on never-changed lines. Every
+// return value, the device statistics and the device RNG must agree.
+TEST(Device, EagerAndLazyStoresAgree)
+{
+    DeviceConfig dc;
+    dc.seed = 4242;
+    dc.lineCounters = true;
+    PcmDevice eager(dc);
+    dc.lineCounters = false;
+    PcmDevice lazy(dc);
+
+    Rng ops(17);
+    auto pick = [&ops] {
+        return LineAddr{static_cast<unsigned>(ops.below(2)),
+                        100 + ops.below(16),
+                        static_cast<unsigned>(ops.below(16))};
+    };
+    auto cells = [&ops] {
+        std::vector<unsigned> out(ops.below(4));
+        for (unsigned& c : out)
+            c = static_cast<unsigned>(ops.below(kLineBits));
+        return out;
+    };
+    PcmDevice::WritePlan pe, pl;
+    PcmDevice::RoundOutcome oe, ol;
+    auto rounds = [&](std::size_t limit) {
+        for (std::size_t r = 0; r < limit; ++r) {
+            const bool more = eager.applyNextRound(pe, oe);
+            ASSERT_EQ(lazy.applyNextRound(pl, ol), more);
+            EXPECT_EQ(oe.isReset, ol.isReset);
+            EXPECT_EQ(oe.wlErrors, ol.wlErrors);
+            EXPECT_EQ(oe.blErrors, ol.blErrors);
+            if (!more)
+                break;
+        }
+    };
+    auto finish = [&] {
+        const auto fe = eager.finishWrite(pe);
+        const auto fl = lazy.finishWrite(pl);
+        EXPECT_EQ(fe.wlErrorsFixed, fl.wlErrorsFixed);
+        EXPECT_EQ(fe.ecpWdReleased, fl.ecpWdReleased);
+    };
+    for (int i = 0; i < 3000; ++i) {
+        const LineAddr la = pick();
+        switch (ops.below(8)) {
+        case 0:
+            ASSERT_EQ(eager.readLine(la), lazy.readLine(la));
+            break;
+        case 1: { // full write
+            const LineData data = LineData::randomFromKey(ops.next64());
+            eager.planWriteInto(pe, la, data);
+            lazy.planWriteInto(pl, la, data);
+            rounds(~std::size_t(0));
+            finish();
+            break;
+        }
+        case 2: { // cancelled write: some rounds, then the WL repair
+            const LineData data = LineData::randomFromKey(ops.next64());
+            eager.planWriteInto(pe, la, data);
+            lazy.planWriteInto(pl, la, data);
+            ASSERT_EQ(pe.totalRounds(), pl.totalRounds());
+            rounds(ops.below(pe.totalRounds() + 1));
+            EXPECT_EQ(eager.repairWlHits(pe), lazy.repairWlHits(pl));
+            break;
+        }
+        case 3: { // correction
+            const std::vector<unsigned> c = cells();
+            eager.planCorrectionInto(pe, la, c);
+            lazy.planCorrectionInto(pl, la, c);
+            rounds(~std::size_t(0));
+            finish();
+            break;
+        }
+        case 4: {
+            const LineData expected = ops.chance(0.5)
+                ? lazy.peekLine(la) : LineData::randomFromKey(ops.next64());
+            ASSERT_EQ(eager.verifyLine(la, expected),
+                      lazy.verifyLine(la, expected));
+            break;
+        }
+        case 5: { // ECP parking (sometimes of nothing)
+            const std::vector<unsigned> c = cells();
+            EXPECT_EQ(eager.recordWdInEcp(la, c), lazy.recordWdInEcp(la, c));
+            break;
+        }
+        case 6:
+            EXPECT_EQ(eager.ecpUsed(la), lazy.ecpUsed(la));
+            EXPECT_EQ(eager.ecpFree(la), lazy.ecpFree(la));
+            EXPECT_EQ(eager.ecpWdCells(la), lazy.ecpWdCells(la));
+            EXPECT_EQ(eager.uncorrectableMask(la), lazy.uncorrectableMask(la));
+            break;
+        default:
+            ASSERT_EQ(eager.peekLine(la), lazy.peekLine(la));
+            break;
+        }
+    }
+    expectSameStats(eager.stats(), lazy.stats());
+    EXPECT_GT(eager.stats().wlDisturbances, 0u);
+    EXPECT_GT(eager.stats().ecpWdRecorded, 0u);
+    const auto lines = eager.lineCounterSamples();
+    EXPECT_EQ(lines.size(), eager.touchedLines());
+    EXPECT_LT(lazy.touchedLines(), eager.touchedLines());
+    for (const LineCounterSample& line : lines)
+        ASSERT_EQ(eager.peekLine(line.addr), lazy.peekLine(line.addr));
+
+    // The device RNG is private; a last write with probes of certain
+    // draw (rates 1/2) on fresh lines makes its next draws visible in
+    // the flip counts and in the neighbours' content.
+    const WdRates half{0.5, 0.5};
+    eager.setRates(half);
+    lazy.setRates(half);
+    const LineAddr probe{3, 500, 4};
+    const LineData data = LineData::randomFromKey(ops.next64());
+    eager.planWriteInto(pe, probe, data);
+    lazy.planWriteInto(pl, probe, data);
+    rounds(~std::size_t(0));
+    EXPECT_GT(pe.blHitsUpper + pe.blHitsLower, 0u);
+    EXPECT_EQ(pe.wlHits, pl.wlHits);
+    EXPECT_EQ(pe.blHitsUpper, pl.blHitsUpper);
+    EXPECT_EQ(pe.blHitsLower, pl.blHitsLower);
+    for (const LineAddr n : {LineAddr{3, 499, 4}, LineAddr{3, 501, 4},
+                             LineAddr{3, 500, 3}, LineAddr{3, 500, 5}}) {
+        EXPECT_EQ(eager.peekLine(n), lazy.peekLine(n));
+    }
 }
 
 } // namespace

@@ -254,5 +254,26 @@ TEST(SystemIntegration, TlbAndPagingActive)
         EXPECT_TRUE(core->done());
 }
 
+// The line store's footprint on a short sdpcm/wrf run: with line
+// counters off it holds only the lines the run changed; with them on,
+// every line the run touched. A change that re-materialises read-only
+// lines moves the first figure.
+TEST(SystemIntegration, TouchedLinesFootprintIsPinned)
+{
+    std::size_t touched[2] = {};
+    for (const bool counters : {false, true}) {
+        SystemConfig sc;
+        sc.scheme = SchemeConfig::sdpcm();
+        sc.cores = 2;
+        sc.refsPerCore = 3000;
+        sc.lineCounters = counters;
+        System system(sc, workloadFromProfile("wrf"));
+        system.run();
+        touched[counters] = system.device().touchedLines();
+    }
+    EXPECT_EQ(touched[0], 973u);
+    EXPECT_EQ(touched[1], 7020u); // every line touched, as before
+}
+
 } // namespace
 } // namespace sdpcm
