@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -489,6 +490,36 @@ TEST(WearMetrics, ConcentratedWearHasKnownGini)
     // All wear on one of four lines: gini = (n-1)/n = 0.75.
     EXPECT_NEAR(s.get("wear.gini"), 0.75, 1e-12);
     EXPECT_DOUBLE_EQ(s.get("wear.projectedLifetimeTicks"), 1e6 * 1000 / 8);
+}
+
+// Counts on both sides of 2^16 (two ranking passes), unsorted and with
+// ties: the integer ranking must give the bits of the double formula
+// over sorted doubles.
+TEST(WearMetrics, GiniMatchesSortedDoubleFormulaBitForBit)
+{
+    std::vector<std::uint32_t> counts;
+    std::uint64_t x = 5;
+    for (int i = 0; i < 3000; ++i) {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        const std::uint32_t r = static_cast<std::uint32_t>(x >> 40);
+        counts.push_back(i % 3 == 0 ? r : r % 700);
+    }
+    const StatSnapshot s = wearFixture(counts).toSnapshot();
+
+    std::vector<double> sorted(counts.begin(), counts.end());
+    std::sort(sorted.begin(), sorted.end());
+    double total = 0.0;
+    double weighted = 0.0;
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+        total += sorted[i];
+        weighted += static_cast<double>(i + 1) * sorted[i];
+    }
+    const double n = static_cast<double>(sorted.size());
+    EXPECT_GT(sorted.back(), 65536.0);
+    EXPECT_EQ(s.get("wear.totalCellWrites"), total);
+    EXPECT_EQ(s.get("wear.maxLineCellWrites"), sorted.back());
+    EXPECT_EQ(s.get("wear.gini"),
+              2.0 * weighted / (n * total) - (n + 1.0) / n);
 }
 
 TEST(WearMetrics, AllZeroWearIsWellDefined)
